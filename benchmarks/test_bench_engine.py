@@ -71,22 +71,6 @@ def test_engine_speedup_and_warm_cache(benchmark):
     for label, (_, result) in rows.items():
         assert keys(result) == keys(serial), f"{label} diverged from serial"
 
-    # solver modes: the batched session vs classic per-group solving at
-    # jobs=1 — the ISSUE-8 cold-detect trajectory point. Parity is part
-    # of the measurement: both modes must reproduce the serial reports.
-    mode_seconds = {}
-    mode_obs = {}
-    for mode in ("batched", "classic"):
-        collector = Collector(f"mode-{mode}")
-        start = time.perf_counter()
-        moded = run_gcatch(program, jobs=1, solver_mode=mode, collector=collector)
-        mode_seconds[mode] = time.perf_counter() - start
-        mode_obs[mode] = collector
-        assert keys(moded) == keys(serial), f"solver_mode={mode} diverged"
-    session_reuse = mode_obs["batched"].counters.get("solver.session.reuse", 0)
-    intern_hits = mode_obs["batched"].counters.get("solver.intern.hit", 0)
-    assert session_reuse > 0 and intern_hits > 0  # the session engaged
-
     # warm cache: a re-run on an unchanged program skips >= 90% of solver calls
     cache = ResultCache()
     cold_obs, warm_obs = Collector("cold"), Collector("warm")
@@ -108,12 +92,9 @@ def test_engine_speedup_and_warm_cache(benchmark):
     ]
     table.append(["cache cold (jobs=2)", f"{cold_seconds:.3f}", "-"])
     table.append(["cache warm (jobs=2)", f"{warm_seconds:.3f}", "-"])
-    for mode, seconds in mode_seconds.items():
-        table.append([f"solver_mode={mode} (jobs=1)", f"{seconds:.3f}", "-"])
     record_report(
         f"Detection engine scalability ({os.cpu_count()} CPUs; "
-        f"warm-cache solver skip rate {skip_rate:.0%}; "
-        f"session reuse {session_reuse}, intern hits {intern_hits})",
+        f"warm-cache solver skip rate {skip_rate:.0%})",
         render_simple(["configuration", "seconds", "speedup vs serial"], table),
     )
 
@@ -133,11 +114,6 @@ def test_engine_speedup_and_warm_cache(benchmark):
         "solver_skip_rate": round(skip_rate, 4),
         "solver_calls_cold": cold_calls,
         "solver_calls_warm": warm_calls,
-        "solver_mode_seconds": {
-            mode: round(seconds, 3) for mode, seconds in mode_seconds.items()
-        },
-        "session_reuse": session_reuse,
-        "session_intern_hits": intern_hits,
     }
     with open(ARTIFACT, "w") as handle:
         json.dump(artifact, handle, indent=2, sort_keys=True)

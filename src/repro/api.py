@@ -136,7 +136,6 @@ class Project:
         max_retries: Optional[int] = None,
         retry_timeouts: bool = False,
         checkers: Optional[List[str]] = None,
-        solver_mode: Optional[str] = None,
     ) -> GCatchResult:
         """Run GCatch (BMOC detector + the five traditional checkers).
 
@@ -153,13 +152,7 @@ class Project:
         bounds transient-failure retries; ``retry_timeouts`` retries a
         solver-timeout shard once with a quartered node budget;
         ``checkers`` (default: ``REPRO_CHECKERS``, else all) restricts
-        the traditional-checker set. ``solver_mode`` (default:
-        ``REPRO_SOLVER_MODE``, else ``batched``) selects the per-group
-        constraint-solving pipeline: ``batched`` reuses structures across
-        a primitive's suspicious groups through a
-        :class:`repro.constraints.session.SolverSession`; ``classic``
-        encodes and solves every group from scratch (the escape hatch —
-        both produce byte-identical reports).
+        the traditional-checker set.
         """
         return run_gcatch(
             self.program,
@@ -173,7 +166,6 @@ class Project:
             max_retries=max_retries,
             retry_timeouts=retry_timeouts,
             checkers=checkers,
-            solver_mode=solver_mode,
         )
 
     # -- fixing -------------------------------------------------------------

@@ -102,7 +102,6 @@ def cmd_detect(args: argparse.Namespace) -> int:
         max_retries=args.max_retries,
         retry_timeouts=args.retry_timeouts,
         checkers=args.checkers,
-        solver_mode=args.solver_mode,
     )
     reports = result.all_reports()
     timed_out = result.has_timeouts()
@@ -170,7 +169,6 @@ def cmd_fix(args: argparse.Namespace) -> int:
     result = project.detect(
         max_retries=args.max_retries,
         retry_timeouts=args.retry_timeouts,
-        solver_mode=args.solver_mode,
     )
     bugs = result.bmoc.bmoc_channel_bugs()
     if not bugs:
@@ -303,7 +301,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         backend=args.backend,
         max_retries=args.max_retries,
-        solver_mode=args.solver_mode,
     )
     collector = Collector(f"fuzz-s{args.seed}") if args.json else None
     policy = RetryPolicy(max_retries=args.max_retries) if args.max_retries else None
@@ -376,7 +373,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
     result = project.detect(
         max_retries=args.max_retries,
         retry_timeouts=args.retry_timeouts,
-        solver_mode=args.solver_mode,
     )
     reports = result.all_reports()
     summary = project.fix_all(result.bmoc.bmoc_channel_bugs())
@@ -445,7 +441,6 @@ def _service_kwargs(args: argparse.Namespace) -> dict:
         max_retries=args.max_retries,
         retry_timeouts=args.retry_timeouts,
         checkers=args.checkers,
-        solver_mode=args.solver_mode,
     )
 
 
@@ -712,15 +707,6 @@ def cmd_coverage(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_solver_mode_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--solver-mode", choices=["batched", "classic"], default=None,
-                   help="constraint-solving pipeline: 'batched' shares one "
-                        "incremental solver session across a primitive's "
-                        "suspicious groups; 'classic' encodes and solves each "
-                        "group from scratch — identical reports either way "
-                        "(default: REPRO_SOLVER_MODE, else batched)")
-
-
 def _add_resilience_args(p: argparse.ArgumentParser) -> None:
     """The resilience flags shared by detect/fix/stats."""
     p.add_argument("--strict", action="store_true",
@@ -773,7 +759,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: REPRO_CHECKERS, else all)")
     p.add_argument("--trace-out", default=None, metavar="PATH",
                    help="dump the run's span tree as OTLP-style JSON")
-    _add_solver_mode_arg(p)
     _add_resilience_args(p)
     p.set_defaults(func=cmd_detect)
 
@@ -782,7 +767,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--write", action="store_true", help="apply a single patch in place")
     p.add_argument("--trace", action="store_true",
                    help="append the per-stage observability table")
-    _add_solver_mode_arg(p)
     _add_resilience_args(p)
     p.set_defaults(func=cmd_fix)
 
@@ -835,7 +819,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pool backend for --jobs")
     p.add_argument("--max-retries", type=int, default=None,
                    help="transient-failure retries per program")
-    _add_solver_mode_arg(p)
     p.add_argument("--only", type=int, default=None, metavar="INDEX",
                    help="replay a single program of the campaign by index")
     p.add_argument("--minimize", action="store_true",
@@ -859,7 +842,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit Prometheus text exposition instead of the table")
     p.add_argument("--trace-out", default=None, metavar="PATH",
                    help="dump the run's span tree as OTLP-style JSON")
-    _add_solver_mode_arg(p)
     _add_resilience_args(p)
     p.set_defaults(func=cmd_stats)
 
@@ -882,7 +864,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="retry TIMEOUT shards once with a quartered budget")
         p.add_argument("--checkers", nargs="*", default=None,
                        help="restrict the traditional checkers")
-        _add_solver_mode_arg(p)
 
     p = sub.add_parser(
         "serve",

@@ -36,7 +36,7 @@ MAX_NODES = 50_000
 
 #: version tag of the decision procedure; part of every cache fingerprint,
 #: so bumping it invalidates all cached detection results (repro.engine).
-#: "2": repeatable-send Φ_B (StopPoint.attempts) + the batched session.
+#: "2": repeatable-send Φ_B (StopPoint.attempts).
 SOLVER_VERSION = "2"
 
 #: decision-procedure outcomes (the paper's SAT / UNSAT / Z3 timeout)

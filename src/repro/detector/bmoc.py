@@ -23,7 +23,6 @@ from repro.analysis.dependency import build_dependency_graph, compute_pset
 from repro.analysis.primitives import Primitive, find_primitives
 from repro.analysis.scope import Scope, compute_all_scopes
 from repro.constraints.encoding import StopPoint, encode
-from repro.constraints.session import DEFAULT_SOLVER_MODE, SOLVER_MODES, SolverSession
 from repro.constraints.solver import TIMEOUT, solve_detailed
 from repro.obs import (
     NULL,
@@ -146,19 +145,12 @@ class BMOCDetector:
         prune_infeasible: bool = True,
         collector=None,
         solver_max_nodes: Optional[int] = None,
-        solver_mode: str = DEFAULT_SOLVER_MODE,
     ):
-        if solver_mode not in SOLVER_MODES:
-            raise ValueError(
-                f"unknown solver mode: {solver_mode!r} "
-                f"(valid modes: {', '.join(SOLVER_MODES)})"
-            )
         self.program = program
         self.disentangle = disentangle
         self.max_loop_unroll = max_loop_unroll
         self.prune_infeasible = prune_infeasible
         self.solver_max_nodes = solver_max_nodes
-        self.solver_mode = solver_mode
         self.collector = collector or NULL
         with self.collector.span(STAGE_CALLGRAPH):
             self.call_graph = build_call_graph(program)
@@ -249,13 +241,8 @@ class BMOCDetector:
         and moves on to the next primitive.
         """
         reports: List[BugReport] = []
-        # one incremental solver session per primitive: all of this
-        # channel's suspicious groups solve inside it (batched mode)
-        session = (
-            SolverSession(self.collector) if self.solver_mode == "batched" else None
-        )
         try:
-            self._analyze_channel(channel, stats, reports, budget, session)
+            self._analyze_channel(channel, stats, reports, budget)
             return reports, False
         except BudgetExceeded:
             stats.analysis_timeouts += 1
@@ -269,7 +256,6 @@ class BMOCDetector:
         stats: DetectionStats,
         reports: List[BugReport],
         budget: Optional[AnalysisBudget] = None,
-        session: Optional[SolverSession] = None,
     ) -> None:
         collector = self.collector
         if self.disentangle:
@@ -311,7 +297,7 @@ class BMOCDetector:
                     budget.check()
                 reports.extend(
                     self._check_combination(
-                        channel, combo, scope_functions, stats, budget, session
+                        channel, combo, scope_functions, stats, budget
                     )
                 )
 
@@ -328,7 +314,6 @@ class BMOCDetector:
         scope_functions,
         stats: DetectionStats,
         budget: Optional[AnalysisBudget] = None,
-        session: Optional[SolverSession] = None,
     ) -> List[BugReport]:
         collector = self.collector
         reports: List[BugReport] = []
@@ -347,15 +332,12 @@ class BMOCDetector:
             maybe_fault(STAGE_ENCODE, str(channel.site))
             stats.solver_calls += 1
             maybe_fault(STAGE_SOLVE, str(channel.site))
-            if session is not None:
-                outcome = session.solve_group(combo, group, max_nodes=max_nodes)
-            else:
-                with collector.span(STAGE_ENCODE):
-                    system = encode(combo, group, collector if collector else None)
-                with collector.span(STAGE_SOLVE):
-                    outcome = solve_detailed(
-                        system, collector if collector else None, max_nodes=max_nodes
-                    )
+            with collector.span(STAGE_ENCODE):
+                system = encode(combo, group, collector if collector else None)
+            with collector.span(STAGE_SOLVE):
+                outcome = solve_detailed(
+                    system, collector if collector else None, max_nodes=max_nodes
+                )
             if budget is not None:
                 budget.charge(outcome.nodes)
             if outcome.outcome == TIMEOUT:
@@ -445,7 +427,6 @@ def detect_bmoc(
     max_loop_unroll: int = 2,
     prune_infeasible: bool = True,
     collector=None,
-    solver_mode: str = DEFAULT_SOLVER_MODE,
 ) -> DetectionResult:
     """Convenience wrapper: run the BMOC detector over a program."""
     return BMOCDetector(
@@ -454,5 +435,4 @@ def detect_bmoc(
         max_loop_unroll=max_loop_unroll,
         prune_infeasible=prune_infeasible,
         collector=collector,
-        solver_mode=solver_mode,
     ).detect()

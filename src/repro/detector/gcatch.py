@@ -22,11 +22,7 @@ from repro.obs import NULL, Collector
 from repro.resilience.firewall import Firewall, RetryPolicy
 from repro.resilience.incidents import Incident, overall_health
 from repro.detector.reporting import BugReport, dedup_reports
-from repro.detector.traditional.double_lock import check_double_lock
-from repro.detector.traditional.fatal_goroutine import check_fatal_goroutine
-from repro.detector.traditional.forget_unlock import check_forget_unlock
-from repro.detector.traditional.lock_order import check_lock_order
-from repro.detector.traditional.struct_race import check_struct_races
+from repro.detector.traditional import TRADITIONAL_CHECKERS, run_checker
 from repro.ssa import ir
 
 TABLE1_CATEGORIES = [
@@ -115,22 +111,6 @@ def resolve_max_retries(max_retries: Optional[int] = None) -> int:
         return 1
 
 
-def resolve_solver_mode(solver_mode: Optional[str] = None) -> str:
-    """Explicit ``solver_mode`` beats ``REPRO_SOLVER_MODE`` beats batched.
-
-    Unknown names raise immediately with the valid set — a typo'd mode
-    would otherwise silently analyze with the wrong pipeline.
-    """
-    from repro.constraints.session import DEFAULT_SOLVER_MODE, SOLVER_MODES
-
-    mode = solver_mode or os.environ.get("REPRO_SOLVER_MODE") or DEFAULT_SOLVER_MODE
-    if mode not in SOLVER_MODES:
-        raise ValueError(
-            f"unknown solver mode: {mode!r} (valid modes: {', '.join(SOLVER_MODES)})"
-        )
-    return mode
-
-
 def resolve_checkers(checkers=None) -> Optional[List[str]]:
     """Explicit ``checkers`` beats ``REPRO_CHECKERS`` beats all (None).
 
@@ -146,28 +126,6 @@ def resolve_checkers(checkers=None) -> Optional[List[str]]:
     return [name.strip() for name in env.split(",") if name.strip()]
 
 
-#: serial-path checker registry, in the fixed pipeline order
-_SERIAL_CHECKERS = {
-    "forget-unlock": lambda program, bmoc: check_forget_unlock(program, bmoc.alias),
-    "double-lock": lambda program, bmoc: check_double_lock(program, bmoc.alias),
-    "conflict-lock": lambda program, bmoc: check_lock_order(program, bmoc.alias),
-    "struct-race": lambda program, bmoc: check_struct_races(program, bmoc.alias),
-    "fatal-goroutine": lambda program, bmoc: check_fatal_goroutine(
-        program, bmoc.call_graph
-    ),
-}
-
-
-def _serial_checker(name: str, program: ir.Program, bmoc: BMOCDetector) -> List[BugReport]:
-    runner = _SERIAL_CHECKERS.get(name)
-    if runner is None:
-        raise ValueError(
-            f"unknown traditional checker: {name!r} "
-            f"(valid checkers: {', '.join(_SERIAL_CHECKERS)})"
-        )
-    return runner(program, bmoc)
-
-
 def run_gcatch(
     program: ir.Program,
     disentangle: bool = True,
@@ -180,7 +138,6 @@ def run_gcatch(
     max_retries: Optional[int] = None,
     retry_timeouts: bool = False,
     checkers=None,
-    solver_mode: Optional[str] = None,
 ) -> GCatchResult:
     """Run the complete GCatch pipeline over a lowered program.
 
@@ -204,7 +161,6 @@ def run_gcatch(
     resolved_backend = backend or os.environ.get("REPRO_BACKEND") or "thread"
     resolved_retries = resolve_max_retries(max_retries)
     resolved_checkers = resolve_checkers(checkers)
-    resolved_solver_mode = resolve_solver_mode(solver_mode)
     if (
         resolved_jobs > 1
         or cache is not None
@@ -220,7 +176,6 @@ def run_gcatch(
             cache=cache,
             budget_wall_seconds=budget_wall_seconds,
             budget_solver_nodes=budget_solver_nodes,
-            solver_mode=resolved_solver_mode,
             disentangle=disentangle,
             checkers=resolved_checkers,
             max_retries=resolved_retries,
@@ -236,12 +191,7 @@ def run_gcatch(
     start = time.perf_counter()
     with obs.span("gcatch"):
         prepared = firewall.call(
-            lambda: BMOCDetector(
-                program,
-                disentangle=disentangle,
-                collector=obs,
-                solver_mode=resolved_solver_mode,
-            ),
+            lambda: BMOCDetector(program, disentangle=disentangle, collector=obs),
             site="detect-init",
             label=program.filename or "",
         )
@@ -264,13 +214,13 @@ def run_gcatch(
         units_failed += bmoc_result.stats.channels_failed
         traditional: List[BugReport] = []
         names = (
-            list(_SERIAL_CHECKERS) if resolved_checkers is None else resolved_checkers
+            list(TRADITIONAL_CHECKERS) if resolved_checkers is None else resolved_checkers
         )
         with obs.span("traditional-checkers"):
             for name in names:
                 units_total += 1
                 guarded = firewall.call(
-                    lambda name=name: _serial_checker(name, program, bmoc),
+                    lambda name=name: run_checker(name, program, bmoc),
                     site="checker",
                     label=name,
                 )

@@ -49,11 +49,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.detector.bmoc import AnalysisBudget, BMOCDetector, DetectionResult, DetectionStats
 from repro.detector.reporting import BugReport, dedup_reports
-from repro.detector.traditional.double_lock import check_double_lock
-from repro.detector.traditional.fatal_goroutine import check_fatal_goroutine
-from repro.detector.traditional.forget_unlock import check_forget_unlock
-from repro.detector.traditional.lock_order import check_lock_order
-from repro.detector.traditional.struct_race import check_struct_races
+from repro.detector.traditional import TRADITIONAL_CHECKERS, run_checker
 from repro.engine.cache import CachedShard, ResultCache
 from repro.engine.fingerprint import (
     ProgramDigests,
@@ -64,16 +60,6 @@ from repro.obs import NULL, STAGE_ENGINE_SHARD, Collector, Dist, Span
 from repro.resilience.firewall import BrokenProcessPool, Firewall, RetryPolicy
 from repro.resilience.incidents import Incident, make_incident
 from repro.ssa import ir
-
-#: the five traditional checkers, in the fixed order the serial pipeline
-#: runs them (report order and dedup depend on it)
-TRADITIONAL_CHECKERS: Tuple[str, ...] = (
-    "forget-unlock",
-    "double-lock",
-    "conflict-lock",
-    "struct-race",
-    "fatal-goroutine",
-)
 
 
 @dataclass
@@ -86,7 +72,6 @@ class EngineConfig:
     budget_wall_seconds: Optional[float] = None  # per primitive
     budget_solver_nodes: Optional[int] = None  # per primitive, across solves
     solver_max_nodes: Optional[int] = None  # per individual solve
-    solver_mode: str = "batched"  # 'batched' (SolverSession) | 'classic'
     disentangle: bool = True
     max_loop_unroll: int = 2
     prune_infeasible: bool = True
@@ -205,7 +190,7 @@ class DetectionEngine:
                     channel, stats, budget or self._make_budget()
                 )
             else:
-                reports = self._run_checker(info.label)
+                reports = run_checker(info.label, self.program, self.detector)
                 timed_out = False
         seconds = time.perf_counter() - start
         if info.kind == "bmoc":
@@ -276,23 +261,6 @@ class DetectionEngine:
         if self.collector:
             self.collector.count("resilience.gave-up")
         return first
-
-    def _run_checker(self, name: str) -> List[BugReport]:
-        detector = self.detector
-        if name == "forget-unlock":
-            return check_forget_unlock(self.program, detector.alias)
-        if name == "double-lock":
-            return check_double_lock(self.program, detector.alias)
-        if name == "conflict-lock":
-            return check_lock_order(self.program, detector.alias)
-        if name == "struct-race":
-            return check_struct_races(self.program, detector.alias)
-        if name == "fatal-goroutine":
-            return check_fatal_goroutine(self.program, detector.call_graph)
-        raise ValueError(
-            f"unknown traditional checker: {name!r} "
-            f"(valid checkers: {', '.join(TRADITIONAL_CHECKERS)})"
-        )
 
     # -- orchestration -----------------------------------------------------
 
@@ -389,7 +357,6 @@ class DetectionEngine:
             prune_infeasible=cfg.prune_infeasible,
             collector=self.collector,
             solver_max_nodes=cfg.solver_max_nodes,
-            solver_mode=cfg.solver_mode,
         )
         self._plan_shards()
 
@@ -446,7 +413,6 @@ class DetectionEngine:
                 max_loop_unroll=cfg.max_loop_unroll,
                 prune_infeasible=cfg.prune_infeasible,
                 solver_max_nodes=cfg.solver_max_nodes,
-                solver_mode=cfg.solver_mode,
             )
         for index in range(len(self._channels), len(self._shards)):
             info = self._shards[index]

@@ -109,15 +109,11 @@ def _version_preamble() -> List[str]:
 
 def _options_line(
     disentangle: bool, max_loop_unroll: int, prune_infeasible: bool,
-    solver_max_nodes: Optional[int], solver_mode: str,
+    solver_max_nodes: Optional[int],
 ) -> str:
-    # solver_mode is included conservatively: batched and classic produce
-    # byte-identical reports (the parity suite proves it), but cache entries
-    # should still say which pipeline produced them
     return (
         f"opts disentangle={disentangle} unroll={max_loop_unroll} "
-        f"prune={prune_infeasible} max_nodes={solver_max_nodes} "
-        f"solver_mode={solver_mode}"
+        f"prune={prune_infeasible} max_nodes={solver_max_nodes}"
     )
 
 
@@ -131,7 +127,6 @@ def channel_fingerprint(
     max_loop_unroll: int = 2,
     prune_infeasible: bool = True,
     solver_max_nodes: Optional[int] = None,
-    solver_mode: str = "batched",
 ) -> str:
     """Fingerprint of one channel's BMOC analysis scope."""
     h = hashlib.sha256()
@@ -140,8 +135,7 @@ def channel_fingerprint(
     h.update(
         (
             _options_line(
-                disentangle, max_loop_unroll, prune_infeasible,
-                solver_max_nodes, solver_mode,
+                disentangle, max_loop_unroll, prune_infeasible, solver_max_nodes
             )
             + "\n"
         ).encode()

@@ -2,10 +2,10 @@
 
 One line per completed (or failed) unit, appended the moment the unit
 finishes — never buffered — so a killed sweep loses at most the unit in
-flight. Reads tolerate torn tails exactly like
-:class:`repro.obs.journal.TelemetryJournal`: a line the killed writer
-never finished is skipped, not fatal, and the unit it would have
-recorded simply re-runs.
+flight. Appends and reads go through the same torn-tail tolerant JSONL
+primitives as :class:`repro.obs.journal.TelemetryJournal`: a line the
+killed writer never finished is skipped, not fatal, and the unit it
+would have recorded simply re-runs.
 
 Resume contract (the driver's skip rule):
 
@@ -21,10 +21,11 @@ Resume contract (the driver's skip rule):
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 from typing import Dict, Iterator, List, Optional
+
+from repro.obs.journal import append_jsonl, jsonl_line, read_jsonl
 
 
 class SweepManifest:
@@ -37,21 +38,11 @@ class SweepManifest:
     # -- write ---------------------------------------------------------------
 
     def append(self, record: dict) -> None:
-        line = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
         with self._lock:
             parent = os.path.dirname(self.path)
             if parent:
                 os.makedirs(parent, exist_ok=True)
-            # a killed writer can leave a torn, newline-less tail; start on
-            # a fresh line so only the torn record is lost, not ours too
-            if os.path.exists(self.path) and os.path.getsize(self.path) > 0:
-                with open(self.path, "rb") as tail:
-                    tail.seek(-1, os.SEEK_END)
-                    if tail.read(1) != b"\n":
-                        line = "\n" + line
-            with open(self.path, "a") as handle:
-                handle.write(line)
-                handle.flush()
+            append_jsonl(self.path, jsonl_line(record))
 
     def record_unit(
         self,
@@ -79,19 +70,7 @@ class SweepManifest:
 
     def iter_records(self) -> Iterator[dict]:
         """All parseable records, file order; torn/corrupt lines skipped."""
-        if not os.path.exists(self.path):
-            return
-        with open(self.path, "r", errors="replace") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    continue  # torn tail from a killed writer
-                if isinstance(record, dict):
-                    yield record
+        return read_jsonl(self.path)
 
     def latest_by_uid(self) -> Dict[str, dict]:
         """Last record per unit id (a re-run supersedes history)."""

@@ -287,7 +287,6 @@ class FleetSupervisor:
             ("--jobs", "jobs"),
             ("--backend", "backend"),
             ("--cache-dir", "cache_dir"),
-            ("--solver-mode", "solver_mode"),
         ):
             value = self.service_options.get(key)
             if value is not None:

@@ -78,7 +78,6 @@ class CampaignConfig:
     jobs: Optional[int] = None  # engine shard parallelism for detection
     backend: Optional[str] = None
     max_retries: Optional[int] = None
-    solver_mode: Optional[str] = None  # batched | classic (None: resolve env)
 
     def to_json(self) -> dict:
         return {
@@ -87,7 +86,6 @@ class CampaignConfig:
             "max_total_steps": self.max_total_steps,
             "jobs": self.jobs,
             "backend": self.backend,
-            "solver_mode": self.solver_mode,
         }
 
 
@@ -245,7 +243,6 @@ def triage_program(
             jobs=config.jobs,
             backend=config.backend,
             max_retries=config.max_retries,
-            solver_mode=config.solver_mode,
         )
         exploration = explore(
             ir_program,

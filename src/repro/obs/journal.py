@@ -14,6 +14,11 @@ Rotation is size-bounded: when the active file exceeds ``max_bytes`` it
 is shifted to ``<path>.1`` (existing rotations shifting up, the oldest
 beyond ``max_files`` dropped), so a long-lived daemon's telemetry
 footprint is bounded no matter the traffic.
+
+:func:`append_jsonl` and :func:`read_jsonl` are the crash-tolerant JSONL
+primitives shared with the fleet's sweep manifest: a writer killed
+mid-record leaves a torn, newline-less tail that the next append closes
+off and every read skips, so a crash costs only the record in flight.
 """
 
 from __future__ import annotations
@@ -25,6 +30,44 @@ import time
 from typing import Dict, Iterator, List, Optional
 
 from repro.obs.collector import Dist
+
+
+def jsonl_line(record: dict) -> str:
+    """``record`` as one compact, key-sorted, newline-terminated line."""
+    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def append_jsonl(path: str, line: str) -> None:
+    """Append one :func:`jsonl_line` to ``path`` and flush it. A torn tail
+    left by a killed writer is closed off first, so only the torn record
+    is lost, never the one being appended."""
+    if os.path.exists(path) and os.path.getsize(path) > 0:
+        with open(path, "rb") as tail:
+            tail.seek(-1, os.SEEK_END)
+            if tail.read(1) != b"\n":
+                line = "\n" + line
+    with open(path, "a") as handle:
+        handle.write(line)
+        handle.flush()
+
+
+def read_jsonl(path: str) -> Iterator[dict]:
+    """Every dict record in ``path``, in file order. Torn, corrupt and
+    non-object lines are skipped; a missing file yields nothing."""
+    try:
+        with open(path, "r", errors="replace") as handle:
+            for line in handle:
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    record = json.loads(line)
+                except ValueError:
+                    continue
+                if isinstance(record, dict):
+                    yield record
+    except OSError:
+        return
 
 
 class TelemetryJournal:
@@ -42,15 +85,14 @@ class TelemetryJournal:
 
     def append(self, record: dict) -> None:
         """Write one record; rotate first when the active file is full."""
-        line = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+        line = jsonl_line(record)
         with self._lock:
             if (
                 os.path.exists(self.path)
                 and os.path.getsize(self.path) + len(line) > self.max_bytes
             ):
                 self._rotate()
-            with open(self.path, "a") as handle:
-                handle.write(line)
+            append_jsonl(self.path, line)
 
     def _rotate(self) -> None:
         oldest = f"{self.path}.{self.max_files - 1}"
@@ -82,20 +124,7 @@ class TelemetryJournal:
         """Every surviving record, oldest first, across rotations; torn or
         corrupt lines (a crash mid-write) are skipped, not fatal."""
         for path in self.files():
-            try:
-                with open(path) as handle:
-                    for line in handle:
-                        line = line.strip()
-                        if not line:
-                            continue
-                        try:
-                            record = json.loads(line)
-                        except ValueError:
-                            continue
-                        if isinstance(record, dict):
-                            yield record
-            except OSError:
-                continue
+            yield from read_jsonl(path)
 
     def read(self, last: Optional[int] = None) -> List[dict]:
         records = list(self.iter_records())

@@ -19,8 +19,6 @@ fair scheduling, admission control and load shedding:
 * :mod:`repro.service.admission` — queue-depth limits, per-tenant
   token-bucket quotas and degraded-mode shedding (structured
   ``OVERLOADED``/``QUOTA_EXCEEDED`` with ``retry_after``);
-* :mod:`repro.service.queue` — the PR-5 FIFO surface, now an alias for
-  the scheduler pinned to one worker;
 * :mod:`repro.service.protocol` — the wire protocol;
 * :mod:`repro.service.client` — the TCP client (``repro client``);
 * :mod:`repro.service.watch` — polling watcher + the ``repro watch``
@@ -66,7 +64,6 @@ from repro.service.protocol import (
     decode_request,
     encode_line,
 )
-from repro.service.queue import RequestQueue
 from repro.service.scheduler import FairScheduler
 from repro.service.tenants import TenantRegistry, TenantState
 from repro.service.watch import Watcher, run_watch
@@ -88,7 +85,6 @@ __all__ = [
     "Rejection",
     "Request",
     "RequestContext",
-    "RequestQueue",
     "ServiceClient",
     "ServiceConnectionError",
     "ServiceError",

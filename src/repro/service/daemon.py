@@ -59,7 +59,6 @@ from repro.detector.gcatch import (
     resolve_checkers,
     resolve_jobs,
     resolve_max_retries,
-    resolve_solver_mode,
     run_gcatch,
 )
 from repro.detector.reporting import BugReport
@@ -187,7 +186,6 @@ class AnalysisService:
         max_retries: Optional[int] = None,
         retry_timeouts: bool = False,
         checkers: Optional[List[str]] = None,
-        solver_mode: Optional[str] = None,
         disentangle: bool = True,
         collector: Optional[Collector] = None,
         journal_path: Optional[str] = None,
@@ -214,7 +212,6 @@ class AnalysisService:
         self.max_retries = resolve_max_retries(max_retries)
         self.retry_timeouts = retry_timeouts
         self.checkers = resolve_checkers(checkers)
-        self.solver_mode = resolve_solver_mode(solver_mode)
         self.disentangle = disentangle
         self.firewall = Firewall(
             collector=self.collector,
@@ -629,7 +626,6 @@ class AnalysisService:
             cache=ctx.cache,
             budget_wall_seconds=self.budget_wall_seconds,
             budget_solver_nodes=self.budget_solver_nodes,
-            solver_mode=self.solver_mode,
             disentangle=self.disentangle,
             checkers=self.checkers,
             max_retries=self.max_retries,
@@ -664,7 +660,6 @@ class AnalysisService:
             max_retries=self.max_retries,
             retry_timeouts=self.retry_timeouts,
             checkers=self.checkers,
-            solver_mode=self.solver_mode,
         )
         return result, refresh_payload
 

@@ -503,6 +503,23 @@ def test_journal_skips_corrupt_lines(tmp_path):
     assert [r["trace_id"] for r in journal.read()] == ["good"]
 
 
+def test_journal_append_after_crash_mid_write_keeps_next_record(tmp_path):
+    """A daemon killed mid-write leaves a torn, newline-less tail; the next
+    record must start on a fresh line, so only the torn record is lost."""
+    from repro.fleet import SweepManifest
+    from repro.obs import TelemetryJournal
+
+    path = str(tmp_path / "j.jsonl")
+    journal = TelemetryJournal(path)
+    journal.append({"n": 1})
+    with open(path, "a") as handle:
+        handle.write('{"n": 2, "trace_')  # killed mid-write
+    journal.append({"n": 3})
+    assert [r["n"] for r in journal.read()] == [1, 3]
+    # the sweep manifest reads the same file the same way
+    assert [r["n"] for r in SweepManifest(path).iter_records()] == [1, 3]
+
+
 def test_summarize_and_render_top(tmp_path):
     from repro.obs import render_top, request_record, summarize
 

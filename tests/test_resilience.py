@@ -562,11 +562,11 @@ class TestCLIPolicy:
         assert render_health("ok") == "health: ok"
 
 
-# -- batched solver-session degradation --------------------------------------
+# -- per-primitive budget degradation ----------------------------------------
 
 # alpha and gamma each leak cheaply (one two-node solve); bravo's two
 # senders need three solves and more nodes than the per-primitive budget
-# below allows, so bravo — and only bravo — exhausts its budget mid-batch
+# below allows, so bravo — and only bravo — exhausts its budget mid-primitive
 MIXED_COST = """
 func leakCheap() {
 	alpha := make(chan int)
@@ -600,17 +600,14 @@ func main() {
 """
 
 
-class TestBatchedTimeoutDegradation:
-    """A per-group budget exhausted mid-batch must TIMEOUT only that
-    primitive's remaining groups, keep every sibling's results, and leave
-    the run degraded — never failed (ISSUE 8 satellite)."""
+class TestBudgetTimeoutDegradation:
+    """A per-primitive budget exhausted part-way through a primitive's
+    groups must TIMEOUT only that primitive, keep every sibling's results,
+    and leave the run degraded — never failed."""
 
-    @pytest.mark.parametrize("mode", ["batched", "classic"])
-    def test_midbatch_budget_timeout_keeps_siblings(self, mode):
+    def test_midbatch_budget_timeout_keeps_siblings(self):
         program = build(MIXED_COST)
-        result = run_gcatch(
-            program, jobs=2, budget_solver_nodes=4, solver_mode=mode
-        )
+        result = run_gcatch(program, jobs=2, budget_solver_nodes=4)
         timeouts = result.timed_out_shards()
         assert len(timeouts) == 1 and "bravo" in timeouts[0].label
         labels = {r.primitive.site.label for r in result.bmoc.reports}
@@ -618,62 +615,14 @@ class TestBatchedTimeoutDegradation:
         assert result.bmoc.stats.analysis_timeouts == 1
         assert result.health() != HEALTH_FAILED
 
-    def test_modes_walk_the_same_budget_trajectory(self):
-        """Memo hits charge the memoized node count, so batched and
-        classic exhaust a budget at exactly the same group."""
-        program = build(MIXED_COST)
-        outcomes = {}
-        for mode in ("batched", "classic"):
-            result = run_gcatch(
-                program, jobs=2, budget_solver_nodes=4, solver_mode=mode
-            )
-            outcomes[mode] = (
-                sorted(r.render() for r in result.all_reports()),
-                [s.label for s in result.timed_out_shards()],
-                result.bmoc.stats.solver_calls,
-                result.bmoc.stats.solver_timeouts,
-                result.health(),
-            )
-        assert outcomes["batched"] == outcomes["classic"]
-
-    @pytest.mark.parametrize("mode", ["batched", "classic"])
-    def test_timeout_plus_crash_degrades_not_fails(self, mode):
+    def test_timeout_plus_crash_degrades_not_fails(self):
         """The full degradation ladder in one run: bravo exhausts its
         budget (TIMEOUT), gamma's solve crashes (incident), and alpha's
         report still ships under ``degraded`` health."""
         program = build(MIXED_COST)
         with injected("solve@gamma:raise"):
-            result = run_gcatch(
-                program, jobs=2, budget_solver_nodes=4, solver_mode=mode
-            )
+            result = run_gcatch(program, jobs=2, budget_solver_nodes=4)
         assert result.health() == HEALTH_DEGRADED
         assert any("bravo" in s.label for s in result.timed_out_shards())
         assert any("gamma" in s.label for s in result.failed_shards())
         assert {r.primitive.site.label for r in result.bmoc.reports} == {"alpha"}
-
-    def test_session_memo_never_crosses_budget_boundaries(self, monkeypatch):
-        """A group re-solved under a smaller node budget must run (and
-        TIMEOUT) rather than reuse the SAT verdict obtained under a larger
-        one — max_nodes is part of the memo key."""
-        from repro.constraints.session import SolverSession
-        from tests.test_constraints_session import recorded_sessions
-
-        sessions = recorded_sessions(monkeypatch, MIXED_COST, "mixed.go")
-        sat_calls = [
-            (combo, group, outcome)
-            for session in sessions
-            for combo, group, _, outcome in session.calls
-            if outcome.solution is not None and outcome.nodes > 1
-        ]
-        assert sat_calls
-        combo, group, outcome = sat_calls[0]
-        fresh = SolverSession()
-        full = fresh.solve_group(combo, group, max_nodes=None)
-        assert full.solution is not None
-        from repro.constraints.solver import TIMEOUT
-
-        starved = fresh.solve_group(combo, group, max_nodes=1)
-        assert starved.outcome == TIMEOUT and starved.solution is None
-        assert fresh.reuse == 0  # neither call could reuse the other
-        again = fresh.solve_group(combo, group, max_nodes=None)
-        assert fresh.reuse == 1 and again is full

@@ -5,8 +5,9 @@ The daemon's contract under test:
 
 * the wire protocol rejects garbage with the right error codes and
   never turns a malformed line into a dead connection;
-* requests run strictly FIFO, and a request that waits out its deadline
-  in the queue is answered with DEADLINE_EXCEEDED without running;
+* with one worker, requests run strictly FIFO, and a request that waits
+  out its deadline in the queue is answered with DEADLINE_EXCEEDED
+  without running;
 * a crash inside a request becomes a structured incident on *that
   request's* error response — the daemon keeps serving afterwards;
 * the daemon's exit-code policy (``exit_code_for``) is the CLI's.
@@ -21,9 +22,9 @@ import pytest
 from repro.resilience.faultinject import injected
 from repro.service import (
     AnalysisService,
+    FairScheduler,
     ProjectState,
     Request,
-    RequestQueue,
     ServiceClient,
     ServiceConnectionError,
     decode_request,
@@ -158,7 +159,10 @@ class TestProtocol:
 # -- queue ------------------------------------------------------------------
 
 
-class TestRequestQueue:
+class TestSingleWorkerScheduler:
+    """One worker and one tenant: the fair scheduler is a strict FIFO with
+    queue-relative deadlines and drain-on-stop."""
+
     def test_fifo_order(self):
         seen = []
         release = threading.Event()
@@ -169,7 +173,7 @@ class TestRequestQueue:
             seen.append(request.id)
             return {"id": request.id, "result": {}}
 
-        queue = RequestQueue(handler)
+        queue = FairScheduler(handler, workers=1)
         queue.start()
         futures = [queue.submit(Request(id=i, method="ping")) for i in range(5)]
         release.set()
@@ -186,7 +190,7 @@ class TestRequestQueue:
             time.sleep(0.1)
             return {"id": request.id, "result": {}}
 
-        queue = RequestQueue(handler)
+        queue = FairScheduler(handler, workers=1)
         queue.start()
         first = queue.submit(Request(id="slow", method="ping"))
         doomed = queue.submit(
@@ -199,7 +203,7 @@ class TestRequestQueue:
         assert ran == ["slow"]
 
     def test_submit_after_stop_refused(self):
-        queue = RequestQueue(lambda r: {"id": r.id, "result": {}})
+        queue = FairScheduler(lambda r: {"id": r.id, "result": {}}, workers=1)
         queue.start()
         queue.stop()
         response = queue.submit(Request(id=1, method="ping")).result(timeout=5)
@@ -216,7 +220,7 @@ class TestRequestQueue:
             release.wait(timeout=5)
             return {"id": request.id, "result": {}}
 
-        queue = RequestQueue(handler)
+        queue = FairScheduler(handler, workers=1)
         queue.start()
         running = queue.submit(Request(id="running", method="ping"))
         waiting = queue.submit(Request(id="waiting", method="ping"))
