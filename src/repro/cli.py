@@ -247,7 +247,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
     print(exploration.render())
     if args.replay and exploration.leaking():
         leak = exploration.leaking()[0]
-        replayed = project.replay(leak.choice_trace, entry=args.entry)
+        replayed = project.replay(leak.choice_trace, entry=args.entry, max_steps=args.max_steps)
         same = replayed.blocked_forever == leak.blocked_forever
         print(f"replayed first leaking trace ({len(leak.choice_trace)} choices): "
               f"{'reproduced' if same else 'DIVERGED'}")

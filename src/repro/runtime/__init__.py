@@ -4,6 +4,8 @@
   sampling validation) and trace replay;
 * :mod:`repro.runtime.explorer` — bounded systematic schedule enumeration
   with sleep-set partial-order pruning;
+* :mod:`repro.runtime.checkpoint` — interpreter checkpoints the explorer
+  resumes sibling runs from;
 * :mod:`repro.runtime.choices` — the choice-policy abstraction both share.
 """
 

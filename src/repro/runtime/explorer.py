@@ -8,8 +8,21 @@ replaces sampling with bounded systematic search:
 * every nondeterministic decision (which goroutine steps, which ``select``
   case commits) is a *choice point*; the explorer runs the program to
   completion, records the choice points it passed, and then backtracks
-  depth-first over the untried alternatives — stateless model checking in
-  the style of VeriSoft/GoAT;
+  depth-first over the untried alternatives — systematic search in the
+  style of VeriSoft/GoAT;
+* only the root run executes from ``main``. Where a run records a branch
+  point it checkpoints the interpreter (goroutines, environments, sync
+  objects, step counts, runtime id counters; IR shared) just before that
+  sched choice — for a ``select`` branch, before the sched choice of the
+  step that reaches it. Each sibling restores the checkpoint and re-decides
+  only the choices from there through its prefix, with the same
+  ``ReplayDivergence`` check a replay from ``main`` had. Every sibling but
+  the last restores a copy; the last takes the checkpoint over. The search
+  is the one a replay from ``main`` makes: the same runs, prunes, steps and
+  traces;
+* one preemption rule serves fresh and replayed choices: a step counts
+  only when its footprint is non-empty, so a checkpoint's preemption
+  counters are the ones a replay of its prefix would compute;
 * commuting steps are not explored in both orders. Each pending step gets a
   *footprint* (the channels/mutexes/waitgroups/shared variables it touches);
   steps with disjoint footprints are independent, and a sleep-set discipline
@@ -30,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple
 
+from repro.runtime.checkpoint import Checkpoint
 from repro.runtime.choices import Choice, ChoicePolicy, ReplayDivergence
 from repro.runtime.interp import RUNNABLE, Goroutine, Interpreter
 from repro.runtime.scheduler import ExecutionResult, replay_trace, run_program
@@ -272,6 +286,31 @@ class _PrunedRun(Exception):
 
 
 @dataclass
+class _ResumePoint:
+    """Where sibling runs start: the run's state just before choice ``pos``.
+
+    ``pos`` is a sched choice. A sched branch point resumes right at it; a
+    select branch point resumes at the sched choice of the step that
+    reaches the ``select``, and re-decides that choice through the prefix.
+    The choices before ``pos`` live in each work item's prefix, not here.
+    """
+
+    pos: int
+    state: Optional[Checkpoint]  # None once the last resuming run took it
+    preemptions: int  # the policy's preemption count before choice ``pos``
+    last_gid: Optional[int]
+    waiting: int = 0  # work items that will resume from here
+
+    def claim(self) -> Checkpoint:
+        """The state one resuming run consumes; the last one takes it over."""
+        self.waiting -= 1
+        if self.waiting:
+            return self.state.copy()
+        state, self.state = self.state, None
+        return state
+
+
+@dataclass
 class _BranchPoint:
     pos: int  # index of this choice in the run's trace
     kind: str  # 'sched' | 'select'
@@ -280,6 +319,7 @@ class _BranchPoint:
     gids: List[int]  # goroutine ids per candidate (sched only)
     fps: List[Footprint]  # footprint per candidate (sched only)
     sleep: Dict[int, Footprint]  # sleep set snapshot before this choice
+    resume: _ResumePoint
 
 
 @dataclass
@@ -290,13 +330,19 @@ class _Bounds:
 
 
 class _DirectedPolicy(ChoicePolicy):
-    """Replay a forced prefix, then extend depth-first, recording branches."""
+    """Replay a forced prefix, then extend depth-first, recording branches.
+
+    A policy built with a ``resume`` point continues a run restored from its
+    checkpoint: its trace already holds the prefix up to ``resume.pos`` and
+    only the choices from there on are re-decided through the prefix.
+    """
 
     def __init__(
         self,
         prefix: Sequence[Choice],
         branch_sleep: Dict[int, Footprint],
         bounds: _Bounds,
+        resume: Optional[_ResumePoint] = None,
     ):
         super().__init__()
         self._prefix = list(prefix)
@@ -305,12 +351,24 @@ class _DirectedPolicy(ChoicePolicy):
         self.sleep: Dict[int, Footprint] = {}
         self.branch_points: List[_BranchPoint] = []
         self.truncated = False
+        self.checkpoints = 0  # interpreter checkpoints this run took
         self._last_gid: Optional[int] = None
         self._preemptions = 0
+        # the resume point taken before the current step, for a select
+        # branch point that step records
+        self._step_resume: Optional[_ResumePoint] = None
+        if resume is not None:
+            self.trace = self._prefix[: resume.pos]
+            self._preemptions = resume.preemptions
+            self._last_gid = resume.last_gid
 
     # -- bookkeeping ------------------------------------------------------
 
-    def _note_step(self, goroutine: Goroutine, options: Sequence[Goroutine]) -> None:
+    def _note_step(self, goroutine: Goroutine, options: Sequence[Goroutine], fp: Footprint) -> None:
+        """Count a preemption. Fresh and replayed choices share this one rule,
+        so a resumed run starts with the counters a replay would compute."""
+        if not fp:  # invisible steps don't count against the preemption budget
+            return
         gid = goroutine.gid
         if self._last_gid is not None and gid != self._last_gid:
             if any(g.gid == self._last_gid for g in options):
@@ -322,6 +380,32 @@ class _DirectedPolicy(ChoicePolicy):
             self.sleep = {
                 gid: slept for gid, slept in self.sleep.items() if independent(slept, fp)
             }
+
+    def _resume_point(self, pos: int, interp: Interpreter) -> _ResumePoint:
+        """Checkpoint the run before sched choice ``pos`` is noted."""
+        self.checkpoints += 1
+        return _ResumePoint(
+            pos=pos,
+            state=Checkpoint.take(interp),
+            preemptions=self._preemptions,
+            last_gid=self._last_gid,
+        )
+
+    def _prepare_step(
+        self,
+        pos: int,
+        goroutine: Goroutine,
+        interp: Interpreter,
+        resume: Optional[_ResumePoint] = None,
+    ) -> None:
+        """Before sched choice ``pos`` runs ``goroutine``: if its step will
+        record a select branch point, that branch point resumes here."""
+        self._step_resume = None
+        if (
+            len(self.branch_points) < self._bounds.max_branch
+            and interp.select_options(goroutine) > 1
+        ):
+            self._step_resume = resume or self._resume_point(pos, interp)
 
     # -- decisions --------------------------------------------------------
 
@@ -340,12 +424,13 @@ class _DirectedPolicy(ChoicePolicy):
                 f"prefix choice {pos}: recorded {recorded.kind}/{recorded.options}, "
                 f"program offers {kind}/{len(options)}"
             )
+        last = pos == len(self._prefix) - 1
         if kind == "sched":
             chosen = options[recorded.index]
-            fp = step_footprint(interp, chosen)
-            if fp:  # invisible steps don't count against the preemption budget
-                self._note_step(chosen, options)
-        if pos == len(self._prefix) - 1:
+            if last:  # the next choice, if a select, is a fresh one
+                self._prepare_step(pos, chosen, interp)
+            self._note_step(chosen, options, step_footprint(interp, chosen))
+        if last:
             # the branch point itself: the parent already filtered this
             # sleep set against the substituted choice's footprint
             self.sleep = dict(self._branch_sleep)
@@ -357,14 +442,15 @@ class _DirectedPolicy(ChoicePolicy):
             g.status == RUNNABLE and g.sleep_until > interp.clock
             for g in interp.goroutines.values()
         )
-        if bounds.prune and not sleeper_active:
+        wild = not bounds.prune or sleeper_active
+        if wild:
+            # timers in play (or pruning off): assume everything conflicts
+            fps = [_WILD for _ in options]
+        else:
             fps = [step_footprint(interp, g) for g in options]
             for i, fp in enumerate(fps):
                 if not fp:
                     return i  # invisible: run it now, nothing to reorder
-        else:
-            # timers in play (or pruning off): assume everything conflicts
-            fps = [_WILD for _ in options]
 
         candidates = [i for i, g in enumerate(options) if g.gid not in self.sleep]
         if not candidates:
@@ -380,8 +466,10 @@ class _DirectedPolicy(ChoicePolicy):
                     self.truncated = True
                 candidates = same
 
+        resume = None
         if len(candidates) > 1:
             if len(self.branch_points) < bounds.max_branch:
+                resume = self._resume_point(pos, interp)
                 self.branch_points.append(
                     _BranchPoint(
                         pos=pos,
@@ -391,18 +479,23 @@ class _DirectedPolicy(ChoicePolicy):
                         gids=[options[i].gid for i in candidates],
                         fps=[fps[i] for i in candidates],
                         sleep=dict(self.sleep),
+                        resume=resume,
                     )
                 )
             else:
                 self.truncated = True
         chosen = candidates[0]
+        goroutine = options[chosen]
+        self._prepare_step(pos, goroutine, interp, resume)
         self._wake_dependents(fps[chosen])
-        self._note_step(options[chosen], options)
+        self._note_step(goroutine, options, step_footprint(interp, goroutine) if wild else fps[chosen])
         return chosen
 
     def _decide_select(self, pos: int, options: Sequence[Any]) -> int:
         if len(options) > 1:
             if len(self.branch_points) < self._bounds.max_branch:
+                resume = self._step_resume
+                assert resume is not None and resume.pos == pos - 1
                 self.branch_points.append(
                     _BranchPoint(
                         pos=pos,
@@ -412,6 +505,7 @@ class _DirectedPolicy(ChoicePolicy):
                         gids=[],
                         fps=[],
                         sleep=dict(self.sleep),
+                        resume=resume,
                     )
                 )
             else:
@@ -427,6 +521,7 @@ class _DirectedPolicy(ChoicePolicy):
 class _WorkItem:
     prefix: List[Choice]
     sleep: Dict[int, Footprint]
+    resume: Optional[_ResumePoint]  # None only for the root run, which starts at ``entry``
 
 
 @dataclass
@@ -556,7 +651,8 @@ def explore(
     obs = collector or NULL
     bounds = _Bounds(max_branch=max_branch, preemption_bound=preemption_bound, prune=prune)
     exploration = Exploration(entry=entry)
-    stack: List[_WorkItem] = [_WorkItem(prefix=[], sleep={})]
+    stack: List[_WorkItem] = [_WorkItem(prefix=[], sleep={}, resume=None)]
+    checkpoints = restored_steps = 0
     with obs.span("explore"):
         while stack:
             if exploration.runs >= max_runs:
@@ -568,7 +664,11 @@ def explore(
                     obs.count("explore.step-budget-exhausted")
                 break
             item = stack.pop()
-            policy = _DirectedPolicy(item.prefix, item.sleep, bounds)
+            policy = _DirectedPolicy(item.prefix, item.sleep, bounds, item.resume)
+            checkpoint = None
+            if item.resume is not None:
+                checkpoint = item.resume.claim()
+                restored_steps += checkpoint.steps + checkpoint.drain_steps
             try:
                 result: Optional[ExecutionResult] = run_program(
                     program,
@@ -578,6 +678,7 @@ def explore(
                     args=args,
                     policy=policy,
                     collector=collector,
+                    checkpoint=checkpoint,
                 )
             except _PrunedRun:
                 result = None
@@ -597,17 +698,22 @@ def explore(
                         obs.count("explore.step-limited")
             if policy.truncated:
                 exploration.complete = False
+            checkpoints += policy.checkpoints
             for bp in policy.branch_points:
-                base = list(policy.trace[: bp.pos])
+                base = policy.trace[: bp.pos]
+                bp.resume.waiting += len(bp.candidates) - 1
                 for j in range(1, len(bp.candidates)):
                     exploration.backtracks += 1
                     stack.append(
                         _WorkItem(
                             prefix=base + [Choice(bp.kind, bp.options, bp.candidates[j])],
                             sleep=_sibling_sleep(bp, j),
+                            resume=bp.resume,
                         )
                     )
     if obs:
+        obs.count("explore.checkpoints", checkpoints)
+        obs.count("explore.restored-steps", restored_steps)
         obs.count("explore.backtracks", exploration.backtracks)
         obs.count("explore.outcomes", len(exploration.outcomes))
         obs.count("explore.leaking", len(exploration.leaking()))

@@ -140,6 +140,12 @@ class Interpreter:
         self.panicked = False
         self.panic_message: Optional[str] = None
         self.test_failed = False
+        # the scheduling loop's counters (``run_program``): steps taken while
+        # the entry goroutine ran, and steps taken draining the others after
+        # it returned; kept here so a checkpoint carries them
+        # (:mod:`repro.runtime.checkpoint`)
+        self.steps = 0
+        self.drain_steps = 0
 
     # -- goroutine management ---------------------------------------------
 
@@ -626,17 +632,7 @@ class Interpreter:
                 )
                 self._jump(frame, case.target)
                 return
-        ready: List[ir.SelectCase] = []
-        for case in instr.cases:
-            chan = self.value_of(case.chan, frame.env)
-            if not isinstance(chan, Channel):
-                continue  # nil channel case: never ready
-            if case.kind == "recv":
-                if chan.buffer or chan.closed or self.parked("send", chan):
-                    ready.append(case)
-            else:
-                if chan.closed or len(chan.buffer) < chan.capacity or self.parked("recv", chan):
-                    ready.append(case)
+        ready = self._ready_cases(instr, frame)
         if ready:
             case = ready[self.policy.pick("select", ready, self)]
             chan = self.value_of(case.chan, frame.env)
@@ -658,6 +654,37 @@ class Interpreter:
             self._jump(frame, instr.default_target)
             return
         goroutine.park(self._select_offers(instr, frame), instr.line, "select", self.clock)
+
+    def _ready_cases(self, instr: ir.Select, frame: Frame) -> List[ir.SelectCase]:
+        ready: List[ir.SelectCase] = []
+        for case in instr.cases:
+            chan = self.value_of(case.chan, frame.env)
+            if not isinstance(chan, Channel):
+                continue  # nil channel case: never ready
+            if case.kind == "recv":
+                if chan.buffer or chan.closed or self.parked("send", chan):
+                    ready.append(case)
+            else:
+                if chan.closed or len(chan.buffer) < chan.capacity or self.parked("recv", chan):
+                    ready.append(case)
+        return ready
+
+    def select_options(self, goroutine: Goroutine) -> int:
+        """How many ready cases the goroutine's next step chooses among.
+
+        0 unless that step reaches a ``select`` choice; the count is the
+        ``options`` of the ``select`` choice the step would record.
+        """
+        frame = goroutine.frame
+        if frame.returning:
+            return 0
+        instr = frame.current_instr()
+        if not isinstance(instr, ir.Select):
+            return 0
+        action = goroutine.resume_action
+        if action is not None and action[0] in ("recv_done", "send_done"):
+            return 0
+        return len(self._ready_cases(instr, frame))
 
     def _select_offers(self, instr: ir.Select, frame: Frame) -> List[Offer]:
         offers: List[Offer] = []

@@ -22,6 +22,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from repro.runtime.checkpoint import Checkpoint
 from repro.runtime.choices import Choice, ChoicePolicy, RandomPolicy, ReplayPolicy
 from repro.runtime.interp import BLOCKED, RUNNABLE, Goroutine, Interpreter
 from repro.runtime.values import (
@@ -104,6 +105,7 @@ def run_program(
     args: Optional[List[Any]] = None,
     policy: Optional[ChoicePolicy] = None,
     collector=None,
+    checkpoint: Optional[Checkpoint] = None,
 ) -> ExecutionResult:
     """Execute ``entry`` under one schedule.
 
@@ -112,32 +114,43 @@ def run_program(
     replayer and the systematic explorer drive the very same loop.
     ``collector`` (a :class:`repro.obs.Collector`) receives run counters;
     when ``None`` the scheduling loop pays no instrumentation cost.
+
+    ``checkpoint`` (a :class:`~repro.runtime.checkpoint.Checkpoint`, consumed)
+    resumes a run that took it instead of starting ``entry``: the loop picks
+    up its step counts, so ``steps``, ``hit_step_limit`` and
+    ``goroutine_steps`` come out as if the run had executed from the start.
+    ``policy.trace`` must then hold the choices made before the checkpoint.
     """
-    reset_runtime_ids()
     rng = random.Random(seed)
     if policy is None:
         policy = RandomPolicy(rng)
     interp = Interpreter(program, rng, policy=policy, collector=collector)
-    entry_func = program.functions.get(entry)
-    if entry_func is None:
-        raise KeyError(f"no entry function {entry!r}")
-    env = Env()
-    if args is not None:
-        for name, value in zip(entry_func.params, args):
-            env.vars[name] = value
+    if checkpoint is None:
+        reset_runtime_ids()
+        entry_func = program.functions.get(entry)
+        if entry_func is None:
+            raise KeyError(f"no entry function {entry!r}")
+        env = Env()
+        if args is not None:
+            for name, value in zip(entry_func.params, args):
+                env.vars[name] = value
+        else:
+            kinds = arg_kinds or {}
+            for name in entry_func.params:
+                env.vars[name] = _synthesize_arg(kinds.get(name, "any"))
+        main = interp.spawn(entry_func, env)
     else:
-        kinds = arg_kinds or {}
-        for name in entry_func.params:
-            env.vars[name] = _synthesize_arg(kinds.get(name, "any"))
-    main = interp.spawn(entry_func, env)
+        checkpoint.restore(interp)
+        main = interp.goroutines[0]  # the entry goroutine is spawned first
+        if collector:
+            collector.count("run.goroutines", len(interp.goroutines))
     result = ExecutionResult(seed=seed)
 
-    steps = 0
-    while steps < max_steps:
+    while interp.steps < max_steps:
         if interp.panicked:
             break
         if main.done:
-            if not _drain(interp, main, result, max_steps - steps):
+            if not _drain(interp, main, max_steps - interp.steps):
                 result.hit_step_limit = True
             break
         runnable = _runnable(interp)
@@ -149,12 +162,12 @@ def run_program(
             break
         goroutine = runnable[policy.pick("sched", runnable, interp)]
         interp.step(goroutine)
-        steps += 1
+        interp.steps += 1
 
-    if steps >= max_steps:
+    if interp.steps >= max_steps:
         result.hit_step_limit = True
 
-    _collect(interp, main, result, steps)
+    _collect(interp, main, result)
     result.choice_trace = list(policy.trace)
     if collector:
         collector.count("run.programs")
@@ -185,14 +198,13 @@ def _only_sleepers(interp: Interpreter) -> bool:
     return has_sleeper
 
 
-def _drain(interp: Interpreter, main: Goroutine, result: ExecutionResult, budget: int) -> bool:
+def _drain(interp: Interpreter, main: Goroutine, budget: int) -> bool:
     """After main exits, let remaining goroutines run until quiescent.
 
     Whatever is still blocked afterwards is blocked *forever* — the leaked
     goroutines a BMOC bug produces.
     """
-    steps = 0
-    while steps < budget:
+    while interp.drain_steps < budget:
         if interp.panicked:
             return True
         runnable = [g for g in _runnable(interp) if g is not main]
@@ -202,12 +214,12 @@ def _drain(interp: Interpreter, main: Goroutine, result: ExecutionResult, budget
                 continue
             return True
         interp.step(runnable[interp.policy.pick("sched", runnable, interp)])
-        steps += 1
+        interp.drain_steps += 1
     return False
 
 
-def _collect(interp: Interpreter, main: Goroutine, result: ExecutionResult, steps: int) -> None:
-    result.steps = steps
+def _collect(interp: Interpreter, main: Goroutine, result: ExecutionResult) -> None:
+    result.steps = interp.steps
     result.output = list(interp.output)
     result.panicked = interp.panicked
     result.panic_message = interp.panic_message

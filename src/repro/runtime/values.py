@@ -49,6 +49,17 @@ def reset_runtime_ids() -> None:
     _IDS.counts.clear()
 
 
+def runtime_ids() -> Dict[str, int]:
+    """A copy of this thread's serial counters (see :func:`restore_runtime_ids`)."""
+    return dict(_IDS.counts)
+
+
+def restore_runtime_ids(counts: Dict[str, int]) -> None:
+    """Continue minting ids from ``counts``: a resumed checkpoint then mints
+    exactly the ids the run that took it would have minted next."""
+    _IDS.counts = dict(counts)
+
+
 class GoPanic(Exception):
     """Raised inside the interpreter when a goroutine panics."""
 

@@ -18,6 +18,30 @@ func main() {
 }
 """
 
+SPIN = """package main
+
+func worker(ch chan int) {
+	ch <- 1
+}
+
+func helper(done chan int) {
+	done <- 1
+}
+
+func main() {
+	ch := make(chan int)
+	done := make(chan int)
+	go worker(ch)
+	go helper(done)
+	<-done
+	i := 0
+	for i < 1000 {
+		i = i + 1
+	}
+	println(i)
+}
+"""
+
 
 @pytest.fixture
 def buggy_file(tmp_path):
@@ -101,6 +125,17 @@ class TestExploreCommand:
         assert code == 0
         assert "complete" in out
         assert "0 leaking" in out
+
+    def test_step_bounded_leak_replays_under_the_same_bound(self, tmp_path, capsys):
+        # main outlives the step bound after parking ``worker`` on its send:
+        # the leaking trace ends at the bound, so the replay must stop there too
+        path = tmp_path / "spin.go"
+        path.write_text(SPIN)
+        code = main(["explore", str(path), "--max-steps", "200", "--replay"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "LEAK: worker:4 (send)" in out
+        assert "reproduced" in out
 
 
 class TestDiffcheckCommand:

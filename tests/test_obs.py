@@ -210,6 +210,17 @@ def test_explorer_aggregates_counters_across_goroutine_spawning_runs():
     payload = exploration.to_json()
     assert payload["kind"] == "exploration"
     assert payload["stats"]["schema"] == SCHEMA
+    # runs after the first resume from checkpoints; the saving repeats exactly
+    saving = {
+        name: collector.counters[name]
+        for name in ("explore.checkpoints", "explore.restored-steps")
+    }
+    assert all(value > 0 for value in saving.values())
+    again = Collector()
+    Project.from_source(FIGURE1.source, "figure1.go", collector=again).explore(
+        entry=FIGURE1.entry, max_runs=64
+    )
+    assert {name: again.counters[name] for name in saving} == saving
 
 
 def test_fix_all_and_validate_report_into_the_same_collector():
