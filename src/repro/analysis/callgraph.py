@@ -37,6 +37,7 @@ class CallGraph:
     _reach_memo: Dict[str, Set[str]] = field(default_factory=dict, repr=False)
     _spawn_memo: Dict[str, List] = field(default_factory=dict, repr=False)
     _closure_memo: Dict[str, Set[str]] = field(default_factory=dict, repr=False)
+    _inverse_closure: Optional[Dict[str, Set[str]]] = field(default=None, repr=False)
 
     def callees(self, name: str) -> Set[str]:
         return self.edges.get(name, set())
@@ -87,6 +88,21 @@ class CallGraph:
         closure = self.reachable_from(name) | self._spawn_reach(name)
         self._closure_memo[name] = closure
         return closure
+
+    def covering_roots(self, names: Set[str]) -> Set[str]:
+        """Program functions whose :meth:`reach_closure` contains every one
+        of the (non-empty) ``names``: the intersection of their entries in
+        the inverse closure (name → roots reaching it), built once per
+        graph."""
+        inverse = self._inverse_closure
+        if inverse is None:
+            inverse = {}
+            for root in self.program.functions:
+                for name in self.reach_closure(root):
+                    inverse.setdefault(name, set()).add(root)
+            self._inverse_closure = inverse
+        rooted = sorted((inverse.get(name, set()) for name in names), key=len)
+        return rooted[0].intersection(*rooted[1:])
 
     def _spawn_reach(self, name: str) -> Set[str]:
         """Functions reachable through goroutine spawns from ``name``'s call tree."""

@@ -50,71 +50,70 @@ class DependencyGraph:
         return self.depends(a, b) and self.depends(b, a)
 
 
-class _ExecReach:
-    """Conservative 'can execute after' relation between operations."""
-
-    def __init__(self, program: ir.Program, call_graph: CallGraph):
-        self.program = program
-        self.call_graph = call_graph
-        self._reach_cache: Dict[str, Set[str]] = {}
-
-    def _reach_functions(self, name: str) -> Set[str]:
-        if name in self._reach_cache:
-            return self._reach_cache[name]
-        seen: Set[str] = set()
-        frontier = [name]
-        while frontier:
-            current = frontier.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            frontier.extend(self.call_graph.callees(current) - seen)
-            for _, child in self.call_graph.spawn_sites(current):
-                if child is not None and child not in seen:
-                    frontier.append(child)
-        self._reach_cache[name] = seen
-        return seen
-
-    def op_reaches(self, first_fn: str, first: ir.Instr, second_fn: str, second: ir.Instr) -> bool:
-        if first_fn == second_fn:
-            func = self.program.functions.get(first_fn)
-            if func is not None and cfg.instr_reaches(func, first, second):
-                return True
-        reachable = self._reach_functions(first_fn)
-        return second_fn in reachable and second_fn != first_fn
-
-
 def build_dependency_graph(
     program: ir.Program, call_graph: CallGraph, pmap: PrimitiveMap
 ) -> DependencyGraph:
     graph = DependencyGraph()
-    reach = _ExecReach(program, call_graph)
     prims = list(pmap)
     for a in prims:
         graph.edges.setdefault(a, set())
     # rule 1: unblocker of `a` reachable from a blocking op of `b`
-    for a in prims:
-        unblockers = [op for op in a.operations if op.unblocking]
-        if not unblockers:
-            continue
-        for b in prims:
-            if a is b:
-                continue
-            for b_op in b.operations:
-                if not b_op.blocking:
-                    continue
-                if any(
-                    reach.op_reaches(b_op.function, b_op.instr, u.function, u.instr)
-                    for u in unblockers
-                ):
-                    graph.add(a, b)
-                    break
+    for a, b in _unblocker_edges(program, call_graph, prims):
+        graph.add(a, b)
     # rule 2: channels in the same select depend on each other
     for a, b, _ in _select_pairs(prims):
         graph.add(a, b)
         graph.add(b, a)
     graph.close_transitively()
     return graph
+
+
+def _unblocker_edges(
+    program: ir.Program, call_graph: CallGraph, prims: List[Primitive]
+) -> List[Tuple[Primitive, Primitive]]:
+    """Rule 1 pairs ``(a, b)``: an unblocking op of ``a`` can execute after
+    a blocking op of ``b``.
+
+    An unblocker in another function counts when that function is in the
+    blocking function's reach closure (calls and goroutine spawns); one in
+    the same function counts only when the function's CFG orders it after
+    the blocking op, even when the function can re-enter itself through a
+    call. Both sides are indexed: unblockers by function, each blocking
+    function's inter-procedural targets once, each function's CFG once.
+    """
+    unblockers: Dict[str, List[Tuple[Primitive, ir.Instr]]] = {}
+    for a in prims:
+        for op in a.operations:
+            if op.unblocking:
+                unblockers.setdefault(op.function, []).append((a, op.instr))
+    owners = {fn: {a for a, _ in ops} for fn, ops in unblockers.items()}
+    remote: Dict[str, Set[Primitive]] = {}
+    local: Dict[str, cfg.ReachIndex] = {}
+    pairs: List[Tuple[Primitive, Primitive]] = []
+    for b in prims:
+        deps: Set[Primitive] = set()
+        for op in b.operations:
+            if not op.blocking:
+                continue
+            fn = op.function
+            targets = remote.get(fn)
+            if targets is None:
+                targets = remote[fn] = set()
+                for callee in call_graph.reach_closure(fn):
+                    if callee != fn and callee in owners:
+                        targets |= owners[callee]
+            deps |= targets
+            func = program.functions.get(fn)
+            if func is None or fn not in unblockers:
+                continue
+            index = local.get(fn)
+            if index is None:
+                index = local[fn] = cfg.ReachIndex(func)
+            for a, instr in unblockers[fn]:
+                if a not in deps and index.reaches(op.instr, instr):
+                    deps.add(a)
+        pairs.extend((a, b) for a in deps if a is not b)
+    return pairs
 
 
 def _select_pairs(prims: List[Primitive]) -> List[Tuple[Primitive, Primitive, ir.Instr]]:
@@ -147,13 +146,17 @@ def compute_pset(
     join: the program cannot unblock them, only the runtime can.
     """
     my_key = _scope_key(channel, scopes[channel])
-    pset = [channel]
-    for other, scope in scopes.items():
+    # only the channel's own dependencies can be circular with it
+    joined: Set[Primitive] = set()
+    for other in dep_graph.edges.get(channel, ()):
         if other is channel or other.site.kind == "ctxdone":
             continue
-        if _scope_key(other, scope) < my_key and dep_graph.circular(channel, other):
-            pset.append(other)
-    return pset
+        if _scope_key(other, scopes[other]) < my_key and dep_graph.depends(other, channel):
+            joined.add(other)
+    if not joined:
+        return [channel]
+    # members keep the order of ``scopes`` (program order)
+    return [channel] + [p for p in scopes if p in joined]
 
 
 def _scope_key(prim: Primitive, scope: Scope) -> Tuple[int, str, int, str]:

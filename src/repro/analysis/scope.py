@@ -43,11 +43,10 @@ def compute_scope(primitive: Primitive, call_graph: CallGraph) -> Scope:
     op_functions = {f for f in op_functions if f in program.functions}
     if not op_functions:
         return Scope(primitive, lca=None, functions=set())
-    # the reach closure is memoized on the call graph, so all primitives of
-    # one program share it instead of re-deriving it per primitive
+    # the reach closure and its inverse are memoized on the call graph, so
+    # all primitives of one program share them instead of re-deriving them
     reach = call_graph.reach_closure
-
-    covering = [f for f in program.functions if op_functions <= reach(f)]
+    covering = call_graph.covering_roots(op_functions)
     if covering:
         lca = min(covering, key=lambda f: (len(reach(f)), f))
         return Scope(primitive, lca=lca, functions=set(reach(lca)))

@@ -24,10 +24,11 @@ returns full-fidelity reports; ``process`` forks workers for true CPU
 parallelism on multi-core hosts (falling back to threads where ``fork``
 is unavailable) at the cost of coarser per-shard traces.
 
-Observability: per-shard ``engine-shard`` spans, plus the ``cache.hit`` /
+Observability: per-shard ``engine-shard`` spans, a ``fingerprint`` span
+around shard fingerprinting (cached runs only), plus the ``cache.hit`` /
 ``cache.miss`` / ``cache.skipped-solver-calls`` / ``engine.timeout`` /
-``engine.shards`` counters, all through the run's :mod:`repro.obs`
-collector.
+``engine.shards`` / ``fingerprint.digests`` counters, all through the
+run's :mod:`repro.obs` collector.
 
 Resilience (:mod:`repro.resilience`): every shard and every cache probe
 runs behind an exception firewall — a crash anywhere inside one shard
@@ -56,7 +57,14 @@ from repro.engine.fingerprint import (
     channel_fingerprint,
     traditional_fingerprint,
 )
-from repro.obs import NULL, STAGE_ENGINE_SHARD, Collector, Dist, Span
+from repro.obs import (
+    NULL,
+    STAGE_ENGINE_SHARD,
+    STAGE_FINGERPRINT,
+    Collector,
+    Dist,
+    Span,
+)
 from repro.resilience.firewall import BrokenProcessPool, Firewall, RetryPolicy
 from repro.resilience.incidents import Incident, make_incident
 from repro.ssa import ir
@@ -393,30 +401,36 @@ class DetectionEngine:
 
     def _fingerprint_shards(self) -> None:
         cfg = self.config
-        digests = ProgramDigests(self.program)
+        obs = self.collector
         detector = self.detector
-        for index, channel in enumerate(self._channels):
-            if cfg.disentangle:
-                # the detector's Pset memo: computed once, shared with the
-                # analysis itself instead of re-derived for fingerprinting
-                pset = detector.pset_of(channel)
-                scope_functions = detector.scopes[channel].functions
-            else:
-                pset = [p for p in detector.pmap if p.site.kind != "ctxdone"]
-                scope_functions = set(self.program.functions)
-            self._shards[index].fingerprint = channel_fingerprint(
-                digests,
-                channel,
-                pset,
-                scope_functions,
-                disentangle=cfg.disentangle,
-                max_loop_unroll=cfg.max_loop_unroll,
-                prune_infeasible=cfg.prune_infeasible,
-                solver_max_nodes=cfg.solver_max_nodes,
-            )
-        for index in range(len(self._channels), len(self._shards)):
-            info = self._shards[index]
-            info.fingerprint = traditional_fingerprint(digests, info.label)
+        digests = ProgramDigests.of_program(self.program)
+        computed = digests.computed
+        with obs.span(STAGE_FINGERPRINT):
+            for index, channel in enumerate(self._channels):
+                if cfg.disentangle:
+                    # the detector's Pset memo: computed once, shared with the
+                    # analysis itself instead of re-derived for fingerprinting
+                    pset = detector.pset_of(channel)
+                    scope_functions = detector.scopes[channel].functions
+                else:
+                    pset = [p for p in detector.pmap if p.site.kind != "ctxdone"]
+                    scope_functions = set(self.program.functions)
+                self._shards[index].fingerprint = channel_fingerprint(
+                    digests,
+                    channel,
+                    pset,
+                    scope_functions,
+                    disentangle=cfg.disentangle,
+                    max_loop_unroll=cfg.max_loop_unroll,
+                    prune_infeasible=cfg.prune_infeasible,
+                    solver_max_nodes=cfg.solver_max_nodes,
+                )
+            for index in range(len(self._channels), len(self._shards)):
+                info = self._shards[index]
+                info.fingerprint = traditional_fingerprint(digests, info.label)
+        # memo misses only: the digests a service refresh already took of
+        # this program are reused here, not recomputed
+        obs.count("fingerprint.digests", digests.computed - computed)
 
     def _probe_cache(self) -> Tuple[Dict[int, _ShardOutcome], List[int]]:
         cache = self.config.cache

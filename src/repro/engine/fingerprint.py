@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import threading
+import weakref
 from typing import Dict, Iterable, List, Optional
 
 from repro.analysis.primitives import Primitive
@@ -84,16 +86,45 @@ def function_digest(fn: ir.Function) -> str:
 
 
 class ProgramDigests:
-    """Memoized per-function digests for one program (one engine run)."""
+    """Memoized per-function digests of one program.
+
+    :meth:`of_program` keeps one instance per :class:`~repro.ssa.ir.Program`
+    — nothing mutates the IR once it is built — so the service's refresh
+    diff and the engine's shard fingerprints share every digest instead of
+    each computing all of them. ``computed`` counts the memo misses.
+    """
+
+    _per_program: "weakref.WeakKeyDictionary[ir.Program, ProgramDigests]" = (
+        weakref.WeakKeyDictionary()
+    )
+    _per_program_lock = threading.Lock()
 
     def __init__(self, program: ir.Program):
-        self.program = program
+        # the function table, not the program: the per-program memo is
+        # keyed weakly on the program and must not keep it alive
+        self.functions = program.functions
         self._digests: Dict[str, str] = {}
+        self._lock = threading.Lock()
+        self.computed = 0
+
+    @classmethod
+    def of_program(cls, program: ir.Program) -> "ProgramDigests":
+        with cls._per_program_lock:
+            digests = cls._per_program.get(program)
+            if digests is None:
+                digests = cls._per_program[program] = cls(program)
+            return digests
 
     def of(self, name: str) -> str:
         digest = self._digests.get(name)
         if digest is None:
-            digest = self._digests[name] = function_digest(self.program.functions[name])
+            digest = function_digest(self.functions[name])
+            with self._lock:
+                # two threads may miss on one name together; only the first
+                # store counts, so ``computed`` stays one per function
+                if name not in self._digests:
+                    self._digests[name] = digest
+                    self.computed += 1
         return digest
 
 
@@ -143,8 +174,8 @@ def channel_fingerprint(
     h.update((f"channel {channel.site!r}\n").encode())
     for site in sorted(repr(p.site) for p in pset):
         h.update((f"pset {site}\n").encode())
-    program = digests.program
-    for name in sorted(set(scope_functions) & set(program.functions)):
+    functions = digests.functions
+    for name in sorted(name for name in set(scope_functions) if name in functions):
         h.update((f"fn {name} {digests.of(name)}\n").encode())
     return h.hexdigest()
 
@@ -160,6 +191,6 @@ def traditional_fingerprint(digests: ProgramDigests, checker: str) -> str:
     for line in _version_preamble():
         h.update((line + "\n").encode())
     h.update((f"checker {checker}\n").encode())
-    for name in sorted(digests.program.functions):
+    for name in sorted(digests.functions):
         h.update((f"fn {name} {digests.of(name)}\n").encode())
     return h.hexdigest()

@@ -58,6 +58,10 @@ STAGE_SOLVE = "solve"
 #: traditional checker); aggregated like any other stage in the trace table
 STAGE_ENGINE_SHARD = "engine-shard"
 
+#: the engine's shard-fingerprinting pass (SSA digests + scope hashing);
+#: runs only when a result cache is configured, hence not a pipeline stage
+STAGE_FINGERPRINT = "fingerprint"
+
 #: one entry per request the analysis daemon serves (repro.service); wraps
 #: whatever pipeline stages that request triggered
 STAGE_SERVICE_REQUEST = "service-request"
@@ -160,15 +164,12 @@ class Span:
             name=payload["name"],
             start=0.0,
             end=payload["seconds"],
-            span_id=payload.get("span_id") or new_span_id(),
+            span_id=payload["span_id"],
             parent_id=payload.get("parent_id"),
             trace_id=payload.get("trace_id"),
             attrs=dict(payload.get("attrs", {})),
         )
         span.children = [cls.from_dict(c) for c in payload.get("children", ())]
-        for child in span.children:
-            if child.parent_id is None:
-                child.parent_id = span.span_id
         return span
 
     # -- context-manager protocol (entered via Collector.span) ------------
@@ -291,17 +292,15 @@ class Dist:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Dist":
-        """Rebuild from a snapshot; tolerates the means-only ``repro.obs/1``
-        shape (no buckets/samples → empty histogram, percentiles None)."""
+        """Rebuild from :meth:`to_dict` output (a snapshot or a shard
+        shipped back from a forked worker)."""
         dist = cls()
         dist.count = int(payload["count"])
         dist.total = float(payload["total"])
         dist.min = None if payload["min"] is None else float(payload["min"])
         dist.max = None if payload["max"] is None else float(payload["max"])
-        buckets = payload.get("buckets")
-        if buckets is not None and len(buckets) == len(dist.buckets):
-            dist.buckets = [int(n) for n in buckets]
-        dist.samples = [float(v) for v in payload.get("samples", ())]
+        dist.buckets = [int(n) for n in payload["buckets"]]
+        dist.samples = [float(v) for v in payload["samples"]]
         return dist
 
 

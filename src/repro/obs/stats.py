@@ -31,9 +31,8 @@ Schema (top-level keys of a collector snapshot)::
 ``stages`` is the aggregated per-stage table — pipeline stages first, in
 pipeline order, then any extra span names in first-seen order.
 
-Version history: ``repro.obs/1`` (PR 2) had means-only distributions and
-anonymous spans. :func:`load` still accepts ``/1`` payloads — the missing
-histogram/lineage fields load empty, so old snapshots keep rendering.
+Version history: ``repro.obs/1`` had means-only distributions and
+anonymous spans; :func:`load` no longer accepts it.
 """
 
 from __future__ import annotations
@@ -44,10 +43,6 @@ from typing import List, Optional
 from repro.obs.collector import PIPELINE_STAGES, Collector, Dist, Span
 
 SCHEMA = "repro.obs/2"
-
-#: the PR-2 era schema: means-only distributions, no span lineage.
-#: Snapshots are always emitted as /2; /1 is accepted on load.
-SCHEMA_V1 = "repro.obs/1"
 
 
 def json_dumps(payload: object) -> str:
@@ -86,12 +81,9 @@ def load(payload: dict) -> Collector:
 
     Timings are preserved exactly: ``snapshot(load(s)) == s`` for any
     ``repro.obs/2`` snapshot ``s`` (modulo the keys ``extra`` injected).
-    ``repro.obs/1`` snapshots load too — their distributions come back
-    means-only (empty histogram, percentiles ``None``) and their spans
-    without lineage, which is exactly what was recorded.
     """
     schema = payload.get("schema")
-    if schema not in (SCHEMA, SCHEMA_V1):
+    if schema != SCHEMA:
         raise ValueError(f"unsupported stats schema: {schema!r}")
     collector = Collector(
         name=payload.get("name", "run"), trace_id=payload.get("trace_id")

@@ -14,7 +14,10 @@ across daemon requests:
   whose old/new diff is the first half of the invalidation algorithm —
   the second half, digest diff → shard set, happens through
   :mod:`repro.engine.invalidate` because only the engine knows which
-  functions sit in which shard's scope.
+  functions sit in which shard's scope. Digests are taken once per
+  generation through the program's shared
+  :class:`~repro.engine.fingerprint.ProgramDigests`, so the engine's shard
+  fingerprints reuse them instead of digesting every function again.
 
 Refresh is crash-safe by construction: everything is computed into new
 locals and committed at the end, so a mid-refresh failure (unreadable
@@ -30,7 +33,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.engine.fingerprint import function_digest
+from repro.engine.fingerprint import ProgramDigests
 from repro.obs import NULL, STAGE_PARSE, Collector
 from repro.ssa import ir
 from repro.ssa.builder import build_program_from_files, parse_source_file
@@ -170,9 +173,12 @@ class ProjectState:
         program = build_program_from_files(
             [f.ast for f in new_files.values()], collector=obs
         )
-        digests = {
-            name: function_digest(fn) for name, fn in program.functions.items()
-        }
+        # the program's shared digest memo: the engine's shard fingerprints
+        # for this generation reuse every digest taken here
+        memo = ProgramDigests.of_program(program)
+        computed = memo.computed
+        digests = {name: memo.of(name) for name in program.functions}
+        obs.count("fingerprint.digests", memo.computed - computed)
         for name in sorted(set(digests) | set(self.digests)):
             if name not in self.digests:
                 delta.added_functions.append(name)

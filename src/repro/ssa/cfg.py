@@ -93,21 +93,58 @@ def block_reaches(src: ir.Block, dst: ir.Block) -> bool:
     return False
 
 
-def instr_reaches(func: ir.Function, first: ir.Instr, second: ir.Instr) -> bool:
-    """True when ``second`` can execute after ``first`` on some path."""
-    first_block = instruction_block(func, first)
-    second_block = instruction_block(func, second)
-    if first_block is None or second_block is None:
-        return False
-    if first_block.id == second_block.id:
-        instrs = list(first_block.all_instrs())
-        first_idx = next(i for i, x in enumerate(instrs) if x is first)
-        second_idx = next(i for i, x in enumerate(instrs) if x is second)
-        if first_idx < second_idx:
+class ReachIndex:
+    """Instruction-level reachability over one function's CFG, indexed.
+
+    Built once per function and queried many times: instruction (by
+    identity) → (block, position), the first occurrence in reachable-block
+    order as :func:`instruction_block` finds it, and block → the blocks
+    reachable through its successors (the block itself only on a cycle),
+    each derived on first use.
+    """
+
+    def __init__(self, func: ir.Function):
+        self._position: Dict[int, Tuple[ir.Block, int]] = {}
+        for block in func.reachable_blocks():
+            for index, instr in enumerate(block.all_instrs()):
+                self._position.setdefault(id(instr), (block, index))
+        self._successor_reach: Dict[int, Set[int]] = {}
+
+    def successor_reach(self, block: ir.Block) -> Set[int]:
+        """Ids of the blocks reachable through ``block``'s successors."""
+        reach = self._successor_reach.get(block.id)
+        if reach is None:
+            reach = set()
+            stack = list(block.successors())
+            while stack:
+                current = stack.pop()
+                if current.id not in reach:
+                    reach.add(current.id)
+                    stack.extend(current.successors())
+            self._successor_reach[block.id] = reach
+        return reach
+
+    def reaches(self, first: ir.Instr, second: ir.Instr) -> bool:
+        """True when ``second`` can execute after ``first`` on some path."""
+        first_at = self._position.get(id(first))
+        second_at = self._position.get(id(second))
+        if first_at is None or second_at is None:
+            return False
+        (first_block, first_idx), (second_block, second_idx) = first_at, second_at
+        if first_block.id == second_block.id and first_idx < second_idx:
             return True
-        # same block but later-to-earlier still reaches through a loop
-        return any(block_reaches(succ, second_block) for succ in first_block.successors())
-    return any(block_reaches(succ, second_block) for succ in first_block.successors())
+        # otherwise through the successors: back into the same block (for an
+        # earlier or the same position) only around a loop
+        return second_block.id in self.successor_reach(first_block)
+
+
+def instr_reaches(func: ir.Function, first: ir.Instr, second: ir.Instr) -> bool:
+    """True when ``second`` can execute after ``first`` on some path.
+
+    One-off query; callers asking many questions of one function keep a
+    :class:`ReachIndex` instead.
+    """
+    return ReachIndex(func).reaches(first, second)
 
 
 def exit_blocks(func: ir.Function) -> List[ir.Block]:

@@ -15,6 +15,11 @@ are deliberately line-sensitive (reports carry line numbers), so a valid
 
 from __future__ import annotations
 
+import gc
+import sys
+import threading
+import weakref
+
 from repro.constraints import encoding
 from repro.detector.gcatch import run_gcatch
 from repro.engine import ResultCache
@@ -179,6 +184,43 @@ class TestFingerprintPrimitives:
         name = next(iter(program.functions))
         assert digests.of(name) == digests.of(name)
         assert digests.of(name) == function_digest(program.functions[name])
+
+    def test_one_shared_memo_per_program_held_weakly(self):
+        program, other = build(BASE), build(BASE)
+        digests = ProgramDigests.of_program(program)
+        assert ProgramDigests.of_program(program) is digests
+        assert ProgramDigests.of_program(other) is not digests
+        alive = weakref.ref(program)
+        del program, digests
+        gc.collect()
+        assert alive() is None  # the memo does not keep its program alive
+
+    def test_concurrent_misses_count_each_function_once(self):
+        program = build(
+            "".join(f"\nfunc f{i}() {{\n\tprintln({i})\n}}\n" for i in range(300))
+        )
+        digests = ProgramDigests.of_program(program)
+        start = threading.Barrier(8)
+
+        def digest_all():
+            start.wait(timeout=10)
+            for name in program.functions:
+                digests.of(name)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=digest_all) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert digests.computed == len(program.functions)
+        for name, fn in program.functions.items():
+            assert digests.of(name) == function_digest(fn)
 
 
 class TestDiskEviction:

@@ -165,6 +165,11 @@ def test_load_rejects_unknown_schema():
         load({"schema": "repro.obs/999"})
 
 
+def test_load_rejects_retired_v1_schema():
+    with pytest.raises(ValueError, match="unsupported stats schema"):
+        load({"schema": "repro.obs/1", "spans": [{"name": "gcatch", "seconds": 0.6}]})
+
+
 def test_snapshot_orders_pipeline_stages_first():
     c = Collector()
     with c.span("gcatch"):  # not a pipeline stage
@@ -374,32 +379,6 @@ def test_snapshot_v2_round_trips_histograms_and_lineage():
     again = snapshot(restored)
     assert again["distributions"] == payload["distributions"]
     assert again["spans"] == payload["spans"]
-
-
-def test_load_accepts_v1_snapshots():
-    """PR-2-era snapshots (means-only dists, anonymous spans) still load."""
-    v1 = {
-        "schema": "repro.obs/1",
-        "name": "old-run",
-        "stages": [{"name": "solve", "count": 2, "seconds": 0.5}],
-        "counters": {"solver.calls": 2},
-        "gauges": {},
-        "distributions": {"sz": {"count": 2, "total": 12.0, "min": 2.0, "max": 10.0}},
-        "spans": [
-            {"name": "gcatch", "seconds": 0.6,
-             "children": [{"name": "solve", "seconds": 0.5}]},
-        ],
-    }
-    c = load(v1)
-    assert c.counters["solver.calls"] == 2
-    d = c.dists["sz"]
-    assert (d.count, d.mean) == (2, 6.0)
-    assert d.p50 is None  # /1 had no reservoir: percentiles honestly absent
-    # anonymous spans get fresh ids and consistent child lineage
-    root = c.spans[0]
-    assert root.span_id
-    assert root.children[0].parent_id == root.span_id
-    assert snapshot(c)["schema"] == "repro.obs/2"
 
 
 # -- Prometheus exposition ---------------------------------------------------

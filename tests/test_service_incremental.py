@@ -150,3 +150,36 @@ class TestSolverSkipRate:
             assert any("leak07" in key or "bmoc" in key for key in invalidated)
         finally:
             service.stop()
+
+
+def _span_names(span: dict):
+    yield span["name"]
+    for child in span.get("children", ()):
+        yield from _span_names(child)
+
+
+class TestFingerprintDigests:
+    """A warm daemon digests each function once per edit: the refresh diff
+    and the engine's shard fingerprints share the program's digests."""
+
+    def test_one_edit_digests_every_function_once(self, tmp_path):
+        for i in range(4):
+            (tmp_path / f"part{i:02d}.go").write_text(LEAKY.format(name=f"leak{i:02d}"))
+        service = AnalysisService(str(tmp_path)).start()
+        try:
+            ok(service.call("detect"))
+            before = ok(service.call("metrics"))["counters"]
+            (tmp_path / "part01.go").write_text(FIXED.format(name="leak01"))
+            response = service.call("detect")
+            assert ok(response)["refresh"]["reparsed"] == 1
+            after = ok(service.call("metrics"))["counters"]
+            # refresh + detect together: one digest per function
+            digests = after.get("fingerprint.digests", 0) - before.get(
+                "fingerprint.digests", 0
+            )
+            assert digests == len(service.state.program.functions)
+            spans = ok(service.call("stats"))["spans"]
+            tree = next(s for s in spans if s.get("trace_id") == response["trace_id"])
+            assert list(_span_names(tree)).count("fingerprint") == 1
+        finally:
+            service.stop()
