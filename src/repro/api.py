@@ -128,8 +128,6 @@ class Project:
         self,
         disentangle: bool = True,
         collector: Optional[Collector] = None,
-        jobs: Optional[int] = None,
-        backend: Optional[str] = None,
         cache=None,
         budget_wall_seconds: Optional[float] = None,
         budget_solver_nodes: Optional[int] = None,
@@ -139,8 +137,7 @@ class Project:
     ) -> GCatchResult:
         """Run GCatch (BMOC detector + the five traditional checkers).
 
-        ``jobs`` > 1 (default: the ``REPRO_JOBS`` env var) shards the
-        per-primitive analysis across a pool via :mod:`repro.engine`;
+        Detection runs shard by shard through :mod:`repro.engine`;
         ``cache`` (a :class:`repro.engine.ResultCache`) makes re-runs
         incremental; ``budget_*`` bound per-primitive effort, degrading
         to TIMEOUT markers instead of unbounded analysis.
@@ -158,8 +155,6 @@ class Project:
             self.program,
             disentangle=disentangle,
             collector=self._obs(collector),
-            jobs=jobs,
-            backend=backend,
             cache=cache,
             budget_wall_seconds=budget_wall_seconds,
             budget_solver_nodes=budget_solver_nodes,

@@ -94,8 +94,6 @@ def cmd_detect(args: argparse.Namespace) -> int:
     project = _load(args.file, collector=collector)
     result = project.detect(
         disentangle=not args.no_disentangle,
-        jobs=args.jobs,
-        backend=args.backend,
         cache=cache,
         budget_wall_seconds=args.budget_seconds,
         budget_solver_nodes=args.budget_nodes,
@@ -292,18 +290,14 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         triage_program,
     )
     from repro.fuzz.campaign import CampaignConfig
-    from repro.resilience.firewall import RetryPolicy
 
     config = CampaignConfig(
         max_runs=args.budget,
         max_steps=args.max_steps,
         max_total_steps=args.total_steps,
-        jobs=args.jobs,
-        backend=args.backend,
         max_retries=args.max_retries,
     )
     collector = Collector(f"fuzz-s{args.seed}") if args.json else None
-    policy = RetryPolicy(max_retries=args.max_retries) if args.max_retries else None
     if args.only is not None:
         # replay one program of the campaign: the minimize/dump workflow
         program = generate_program(args.seed, args.only)
@@ -325,9 +319,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
                   f"{triage.explanation}".rstrip())
         return _fuzz_exit(triage.bucket == BUCKET_UNEXPLAINED,
                           triage.bucket in ("parse-crash", "analysis-incident"))
-    report = run_campaign(
-        args.seed, args.count, config=config, collector=collector, retry_policy=policy
-    )
+    report = run_campaign(args.seed, args.count, config=config, collector=collector)
     if args.dump_dir and report.unexplained():
         os.makedirs(args.dump_dir, exist_ok=True)
         for triage in report.unexplained():
@@ -433,8 +425,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def _service_kwargs(args: argparse.Namespace) -> dict:
     """The engine/resilience knobs shared by serve and watch."""
     return dict(
-        jobs=args.jobs,
-        backend=args.backend,
         cache_dir=args.cache_dir,
         budget_wall_seconds=args.budget_seconds,
         budget_solver_nodes=args.budget_nodes,
@@ -740,11 +730,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-disentangle", action="store_true", help="whole-program ablation mode")
     p.add_argument("--trace", action="store_true",
                    help="append the per-stage observability table")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="shard per-primitive analysis across N workers "
-                        "(default: REPRO_JOBS env var, else serial)")
-    p.add_argument("--backend", choices=["thread", "process"], default=None,
-                   help="pool backend for --jobs (default: REPRO_BACKEND, else thread)")
     p.add_argument("--cache-dir", default=None,
                    help="persist per-primitive results under this directory; "
                         "warm re-runs skip unchanged primitives")
@@ -812,13 +797,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-run interpreter step bound")
     p.add_argument("--total-steps", type=int, default=120_000,
                    help="deterministic cross-run step budget per program")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="engine shard parallelism for the static oracle "
-                        "(default: REPRO_JOBS, else serial)")
-    p.add_argument("--backend", choices=["thread", "process"], default=None,
-                   help="pool backend for --jobs")
     p.add_argument("--max-retries", type=int, default=None,
-                   help="transient-failure retries per program")
+                   help="transient-failure retries per program "
+                        "(default: REPRO_MAX_RETRIES, else 1)")
     p.add_argument("--only", type=int, default=None, metavar="INDEX",
                    help="replay a single program of the campaign by index")
     p.add_argument("--minimize", action="store_true",
@@ -847,10 +828,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def _add_service_args(p: argparse.ArgumentParser) -> None:
         """Engine knobs shared by serve and watch (daemon-lifetime)."""
-        p.add_argument("--jobs", type=int, default=None,
-                       help="per-request shard parallelism (default: REPRO_JOBS)")
-        p.add_argument("--backend", choices=["thread", "process"], default=None,
-                       help="pool backend (default: REPRO_BACKEND, else thread)")
         p.add_argument("--cache-dir", default=None,
                        help="persist the shard cache under this directory "
                             "(default: memory-only, warm for the daemon's life)")

@@ -99,7 +99,6 @@ class AnalysisBudget:
 @dataclass
 class DetectionStats:
     channels_analyzed: int = 0
-    channels_failed: int = 0  # channels whose analysis crashed (firewalled)
     combinations: int = 0
     groups_checked: int = 0
     solver_calls: int = 0
@@ -112,7 +111,6 @@ class DetectionStats:
     def merge(self, other: "DetectionStats") -> None:
         """Fold another shard's stats into this one (repro.engine)."""
         self.channels_analyzed += other.channels_analyzed
-        self.channels_failed += other.channels_failed
         self.combinations += other.combinations
         self.groups_checked += other.groups_checked
         self.solver_calls += other.solver_calls
@@ -178,8 +176,8 @@ class BMOCDetector:
 
     def for_shard(self, collector) -> "BMOCDetector":
         """A shallow clone sharing every analysis artifact but reporting
-        into its own collector — the unit the engine hands to pool workers
-        (the span stack is per-collector, so shards must not share one)."""
+        into its own collector — one per engine shard, so a shard's
+        telemetry can be dropped whole when the shard fails."""
         clone = object.__new__(BMOCDetector)
         clone.__dict__.update(self.__dict__)
         clone.collector = collector or NULL
@@ -187,30 +185,18 @@ class BMOCDetector:
 
     # -- public ---------------------------------------------------------------
 
-    def detect(self, firewall=None) -> DetectionResult:
-        """Analyze every channel; with a ``firewall`` (a
-        :class:`repro.resilience.Firewall`) each channel is its own
-        isolation unit — one crashing analysis loses only that channel's
-        reports and is counted in ``stats.channels_failed``."""
+    def detect(self) -> DetectionResult:
+        """Analyze every channel, unguarded and uncached: the plain
+        Algorithm 1 loop behind :func:`detect_bmoc` (patch validation,
+        ``repro coverage``) and the reference of the engine parity suites."""
         start = time.perf_counter()
         stats = DetectionStats()
         reports: List[BugReport] = []
         for channel in self.channels_to_analyze():
             chan_start = time.perf_counter()
             stats.channels_analyzed += 1
-            if firewall is None:
-                shard_reports, _ = self.analyze_channel(channel, stats)
-            else:
-                guarded = firewall.call(
-                    lambda channel=channel: self.analyze_channel(channel, stats),
-                    site="shard",
-                    label=str(channel.site),
-                )
-                if not guarded.ok:
-                    stats.channels_failed += 1
-                    continue
-                shard_reports, _ = guarded.value
-            reports.extend(shard_reports)
+            channel_reports, _ = self.analyze_channel(channel, stats)
+            reports.extend(channel_reports)
             stats.per_channel_seconds[str(channel.site)] = time.perf_counter() - chan_start
         stats.elapsed_seconds = time.perf_counter() - start
         if self.collector:

@@ -2,8 +2,7 @@
 
 :data:`TRADITIONAL_CHECKERS` fixes the pipeline order (report order and
 dedup depend on it). :func:`run_checker` is the single name → checker
-dispatch shared by the serial ``run_gcatch`` loop and the engine's
-traditional shards.
+dispatch behind the engine's traditional shards.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""repro.engine — parallel, incremental detection with result caching.
+"""repro.engine — incremental detection with result caching.
 
 See :mod:`repro.engine.engine` for the sharding/orchestration model,
 :mod:`repro.engine.fingerprint` for the content-addressing scheme,

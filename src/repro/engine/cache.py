@@ -51,7 +51,6 @@ class CachedShard:
 
     reports: List[BugReport]
     stats: DetectionStats = field(default_factory=DetectionStats)
-    counters: Dict[str, int] = field(default_factory=dict)
     outcome: str = "ok"  # 'ok' (only completed shards are cached)
 
 

@@ -1,14 +1,14 @@
-"""The parallel, incremental detection engine.
+"""The incremental detection engine: the one loop every detect runs.
 
 The paper's disentangling strategy exists so each channel's BMOC analysis
 runs in a small, independent scope (its ``Pset``). This engine exploits
 that independence three ways:
 
 * **sharding** — each post-disentangle primitive analysis, plus each of
-  the five traditional checkers, is one shard; shards run across a
-  ``concurrent.futures`` pool (``jobs=N``) and results are reassembled in
-  program order, so the report set is identical regardless of completion
-  order (asserted by the parity suite);
+  the five traditional checkers, is one shard; shards run one after
+  another in program order and are the unit of caching, budgeting and
+  crash isolation (the parity suite checks the reassembled report set
+  against the unsharded ``BMOCDetector.detect`` plus the checkers);
 * **incrementality** — with a :class:`~repro.engine.cache.ResultCache`,
   each shard is keyed by a content-addressed fingerprint of its analysis
   scope; a warm re-run skips solved primitives entirely, and an edit
@@ -19,10 +19,9 @@ that independence three ways:
   is marked TIMEOUT, and the engine continues (the paper's per-package Z3
   timeout discipline).
 
-Backends: ``thread`` (default) shares the analyzed program in memory and
-returns full-fidelity reports; ``process`` forks workers for true CPU
-parallelism on multi-core hosts (falling back to threads where ``fork``
-is unavailable) at the cost of coarser per-shard traces.
+Shards never run in parallel: on the GIL-bound interpreter a thread or
+fork pool was slower than this loop. Whole programs run in parallel
+across daemons instead (:mod:`repro.fleet`).
 
 Observability: per-shard ``engine-shard`` spans, a ``fingerprint`` span
 around shard fingerprinting (cached runs only), plus the ``cache.hit`` /
@@ -35,18 +34,16 @@ runs behind an exception firewall — a crash anywhere inside one shard
 (path enumeration, encoding, the solver, a traditional checker, an
 injected fault) degrades into a structured ``Incident`` and a ``failed``
 shard record; every *other* shard's reports are kept. Transient failures
-(cache I/O, fork-pool worker death) retry with deterministic backoff,
+(cache I/O, injected transient faults) retry up to ``max_retries`` times,
 and a shard whose budget timed out can optionally retry once with a
 smaller per-solve node cap (``retry_timeouts``).
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 from repro.detector.bmoc import AnalysisBudget, BMOCDetector, DetectionResult, DetectionStats
 from repro.detector.reporting import BugReport, dedup_reports
@@ -57,36 +54,23 @@ from repro.engine.fingerprint import (
     channel_fingerprint,
     traditional_fingerprint,
 )
-from repro.obs import (
-    NULL,
-    STAGE_ENGINE_SHARD,
-    STAGE_FINGERPRINT,
-    Collector,
-    Dist,
-    Span,
-)
-from repro.resilience.firewall import BrokenProcessPool, Firewall, RetryPolicy
-from repro.resilience.incidents import Incident, make_incident
+from repro.obs import NULL, STAGE_ENGINE_SHARD, STAGE_FINGERPRINT, Collector, Span
+from repro.resilience.firewall import Firewall, RetryPolicy
+from repro.resilience.incidents import Incident
 from repro.ssa import ir
 
 
 @dataclass
 class EngineConfig:
-    """Knobs of one engine run; all have serial-compatible defaults."""
+    """Knobs of one engine run; the defaults are plain ``run_gcatch``."""
 
-    jobs: int = 1
-    backend: str = "thread"  # 'thread' | 'process'
     cache: Optional[ResultCache] = None
     budget_wall_seconds: Optional[float] = None  # per primitive
     budget_solver_nodes: Optional[int] = None  # per primitive, across solves
-    solver_max_nodes: Optional[int] = None  # per individual solve
     disentangle: bool = True
-    max_loop_unroll: int = 2
-    prune_infeasible: bool = True
     # resilience knobs (repro.resilience)
     checkers: Optional[Sequence[str]] = None  # None = all TRADITIONAL_CHECKERS
     max_retries: int = 1  # bounded retries for transient failures
-    retry_backoff: float = 0.0  # deterministic backoff base, seconds
     retry_timeouts: bool = False  # retry TIMEOUT shards once, smaller budget
 
 
@@ -104,47 +88,19 @@ class ShardInfo:
 
 @dataclass
 class _ShardOutcome:
-    index: int
     reports: List[BugReport]
     stats: DetectionStats
     seconds: float
     timed_out: bool
-    counters: Dict[str, int] = field(default_factory=dict)
-    #: span trees serialized as dicts when the outcome crossed a process
-    #: boundary (forked worker); lineage is rebuilt on adoption
-    spans: List[dict] = field(default_factory=list)
-    #: distributions serialized as dicts for the same reason
-    dists: Dict[str, dict] = field(default_factory=dict)
+    #: the shard's own telemetry; merged only if the shard completes, so a
+    #: retried or failed attempt's spans and counters are dropped whole
     collector: Optional[Collector] = None
     failed: bool = False
     incident: Optional[Incident] = None
 
 
-# module-level slot a forked worker inherits; see _run_shard_in_worker
-_FORKED_ENGINE: Optional["DetectionEngine"] = None
-
-
-def _run_shard_in_worker(index: int):
-    # _execute_guarded, not _execute_shard: a crash inside a forked worker
-    # degrades into an Incident that ships back with the outcome instead of
-    # poisoning the pool
-    outcome = _FORKED_ENGINE._execute_guarded(index)
-    # Collector objects hold locks and cannot cross the process boundary;
-    # ship the counters, the distributions, and the span trees *as dicts*
-    # so the parent can rebuild the exact serial span shape with lineage
-    if outcome.collector is not None:
-        outcome.counters = dict(outcome.collector.counters)
-        outcome.spans = [s.to_dict() for s in outcome.collector.spans]
-        outcome.dists = {
-            name: dist.to_dict()
-            for name, dist in outcome.collector.dists.items()
-        }
-        outcome.collector = None
-    return outcome
-
-
 class DetectionEngine:
-    """Shards one program's detection across a pool, with result caching."""
+    """Runs one program's detection shard by shard, with result caching."""
 
     def __init__(
         self,
@@ -157,10 +113,7 @@ class DetectionEngine:
         self.collector = collector or NULL
         self.firewall = Firewall(
             collector=self.collector,
-            policy=RetryPolicy(
-                max_retries=self.config.max_retries,
-                backoff_base=self.config.retry_backoff,
-            ),
+            policy=RetryPolicy(max_retries=self.config.max_retries),
         )
         self.detector: Optional[BMOCDetector] = None
         self._channels: List = []
@@ -170,16 +123,11 @@ class DetectionEngine:
 
     def _make_budget(self) -> Optional[AnalysisBudget]:
         cfg = self.config
-        if (
-            cfg.budget_wall_seconds is None
-            and cfg.budget_solver_nodes is None
-            and cfg.solver_max_nodes is None
-        ):
+        if cfg.budget_wall_seconds is None and cfg.budget_solver_nodes is None:
             return None
         return AnalysisBudget(
             wall_seconds=cfg.budget_wall_seconds,
             solver_nodes=cfg.budget_solver_nodes,
-            max_nodes_per_solve=cfg.solver_max_nodes,
         )
 
     def _execute_shard(
@@ -204,7 +152,6 @@ class DetectionEngine:
         if info.kind == "bmoc":
             stats.per_channel_seconds[info.label] = seconds
         return _ShardOutcome(
-            index=index,
             reports=reports,
             stats=stats,
             seconds=seconds,
@@ -214,9 +161,9 @@ class DetectionEngine:
 
     def _execute_guarded(self, index: int) -> _ShardOutcome:
         """One shard behind the firewall: a crash becomes a failed outcome
-        carrying its incident; the incident is *recorded* (once, in shard
-        order) by the reassembly loop, not here — this may run in a forked
-        worker whose firewall ledger never returns to the parent."""
+        carrying its incident; the incident is *recorded* by the
+        reassembly loop, not here, so the ledger interleaves shard and
+        cache-write incidents in shard order."""
         info = self._shards[index]
         start = time.perf_counter()
         guarded = self.firewall.call(
@@ -231,7 +178,6 @@ class DetectionEngine:
                 outcome = self._retry_with_smaller_budget(index, outcome)
             return outcome
         return _ShardOutcome(
-            index=index,
             reports=[],
             stats=DetectionStats(),
             seconds=time.perf_counter() - start,
@@ -250,11 +196,10 @@ class DetectionEngine:
 
         if self._shards[index].kind != "bmoc":
             return first
-        cap = (self.config.solver_max_nodes or MAX_NODES) // 4 or 1
         budget = AnalysisBudget(
             wall_seconds=self.config.budget_wall_seconds,
             solver_nodes=self.config.budget_solver_nodes,
-            max_nodes_per_solve=cap,
+            max_nodes_per_solve=MAX_NODES // 4,
         )
         if self.collector:
             self.collector.count("resilience.retry")
@@ -291,17 +236,13 @@ class DetectionEngine:
                 # a pipeline-level crash before sharding: nothing to salvage,
                 # but the caller still gets a structured (failed) result
                 return self._aborted_result(start)
-            cached, pending = self._probe_cache()
-            executed = self._execute(pending)
-            outcomes: Dict[int, _ShardOutcome] = {}
-            outcomes.update(cached)
-            outcomes.update(executed)
-
-            # reassembly runs inside the gcatch span so adopted shard span
-            # trees (thread pool and forked workers alike) graft under it:
-            # one rooted tree per detect, identical in shape to serial
+            cached = self._probe_cache()
+            # every shard runs and is merged inside the gcatch span, so the
+            # shard span trees graft under it: one rooted tree per detect
             for index, info in enumerate(self._shards):
-                outcome = outcomes[index]
+                outcome = cached.get(index)
+                if outcome is None:
+                    outcome = self._execute_guarded(index)
                 info.seconds = outcome.seconds
                 info.reports = len(outcome.reports)
                 if outcome.failed:
@@ -357,14 +298,8 @@ class DetectionEngine:
     def _prepare(self) -> None:
         if self.detector is not None:
             return  # already planned (plan() ran first); run() reuses it
-        cfg = self.config
         self.detector = BMOCDetector(
-            self.program,
-            disentangle=cfg.disentangle,
-            max_loop_unroll=cfg.max_loop_unroll,
-            prune_infeasible=cfg.prune_infeasible,
-            collector=self.collector,
-            solver_max_nodes=cfg.solver_max_nodes,
+            self.program, disentangle=self.config.disentangle, collector=self.collector
         )
         self._plan_shards()
 
@@ -375,8 +310,6 @@ class DetectionEngine:
         stats.elapsed_seconds = time.perf_counter() - start
         result = GCatchResult(
             bmoc=DetectionResult(reports=[], stats=stats),
-            traditional=[],
-            shards=[],
             incidents=list(self.firewall.incidents),
         )
         result.elapsed_seconds = stats.elapsed_seconds
@@ -421,9 +354,9 @@ class DetectionEngine:
                     pset,
                     scope_functions,
                     disentangle=cfg.disentangle,
-                    max_loop_unroll=cfg.max_loop_unroll,
-                    prune_infeasible=cfg.prune_infeasible,
-                    solver_max_nodes=cfg.solver_max_nodes,
+                    max_loop_unroll=detector.max_loop_unroll,
+                    prune_infeasible=detector.prune_infeasible,
+                    solver_max_nodes=detector.solver_max_nodes,
                 )
             for index in range(len(self._channels), len(self._shards)):
                 info = self._shards[index]
@@ -432,75 +365,31 @@ class DetectionEngine:
         # this program are reused here, not recomputed
         obs.count("fingerprint.digests", digests.computed - computed)
 
-    def _probe_cache(self) -> Tuple[Dict[int, _ShardOutcome], List[int]]:
+    def _probe_cache(self) -> Dict[int, _ShardOutcome]:
+        """The cached shards' outcomes, by shard index."""
         cache = self.config.cache
         cached: Dict[int, _ShardOutcome] = {}
-        pending: List[int] = []
+        if cache is None:
+            return cached
         for index, info in enumerate(self._shards):
-            entry = None
-            if cache is not None:
-                # a crash while probing (cache I/O, injected fault) is an
-                # incident and an ordinary miss: the shard simply re-runs
-                probe = self.firewall.call(
-                    lambda key=info.fingerprint: cache.get(key),
-                    site="cache-read",
-                    label=info.label,
-                )
-                entry = probe.value if probe.ok else None
+            # a crash while probing (cache I/O, injected fault) is an
+            # incident and an ordinary miss: the shard simply re-runs
+            probe = self.firewall.call(
+                lambda key=info.fingerprint: cache.get(key),
+                site="cache-read",
+                label=info.label,
+            )
+            entry = probe.value if probe.ok else None
             if entry is None:
-                pending.append(index)
                 continue
             info.outcome = "cached"
             cached[index] = _ShardOutcome(
-                index=index,
                 reports=entry.reports,
                 stats=entry.stats,
                 seconds=0.0,
                 timed_out=False,
-                counters=dict(entry.counters),
             )
-        return cached, pending
-
-    def _execute(self, pending: List[int]) -> Dict[int, _ShardOutcome]:
-        jobs = max(1, self.config.jobs)
-        if jobs == 1 or len(pending) <= 1:
-            return {i: self._execute_guarded(i) for i in pending}
-        backend = self.config.backend
-        if backend == "process" and "fork" not in multiprocessing.get_all_start_methods():
-            backend = "thread"
-        if backend == "process":
-            return self._execute_process(pending, jobs)
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(self._execute_guarded, pending))
-        return {o.index: o for o in outcomes}
-
-    def _execute_process(self, pending: List[int], jobs: int) -> Dict[int, _ShardOutcome]:
-        """Fork-pool execution with the worker-death transient path: a
-        broken pool is retried (fresh pool, bounded by ``max_retries``),
-        then degrades to guarded in-process execution — shard results are
-        never lost to pool mechanics."""
-        global _FORKED_ENGINE
-        context = multiprocessing.get_context("fork")
-        attempts = 0
-        while attempts <= max(0, self.config.max_retries):
-            _FORKED_ENGINE = self
-            try:
-                with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
-                    outcomes = list(pool.map(_run_shard_in_worker, pending))
-                return {o.index: o for o in outcomes}
-            except BrokenProcessPool as exc:
-                attempts += 1
-                if self.collector:
-                    self.collector.count("resilience.retry")
-                broken = exc
-            finally:
-                _FORKED_ENGINE = None
-        self.firewall.record(
-            make_incident("pool", "process-pool", broken, attempts=attempts, transient=True)
-        )
-        if self.collector:
-            self.collector.count("resilience.gave-up")
-        return {i: self._execute_guarded(i) for i in pending}
+        return cached
 
     # -- result assembly ---------------------------------------------------
 
@@ -528,42 +417,16 @@ class DetectionEngine:
         if self.config.cache is not None:
             obs.count("cache.miss")
         obs.observe("engine.shard.seconds", outcome.seconds)
-        if outcome.collector is not None:
-            # in-process shard (serial or thread pool): merge adopts the
-            # span trees under the open gcatch span with lineage intact
-            self._annotate_shard_spans(info, outcome.collector.spans)
-            obs.merge(outcome.collector)
-            return
-        # a forked worker: replay counters and distributions, rebuild the
-        # shipped span trees (same shape as serial) and adopt them
-        for name, n in outcome.counters.items():
-            obs.count(name, n)
-        for name, payload in outcome.dists.items():
-            shipped = Dist.from_dict(payload)
-            with obs._lock:
-                mine = obs.dists.get(name)
-                if mine is None:
-                    mine = obs.dists[name] = Dist()
-                mine.merge(shipped)
-        if outcome.spans:
-            spans = [Span.from_dict(s) for s in outcome.spans]
-        else:
-            spans = [Span(name=STAGE_ENGINE_SHARD, start=0.0, end=outcome.seconds)]
-        self._annotate_shard_spans(info, spans)
-        obs.adopt_spans(spans)
+        # merge adopts the shard's span trees under the open gcatch span
+        # with lineage intact
+        self._annotate_shard_spans(info, outcome.collector.spans)
+        obs.merge(outcome.collector)
 
     def _store_cache(self, info: ShardInfo, outcome: _ShardOutcome) -> None:
         cache = self.config.cache
         if cache is None or info.outcome != "ok":
             return  # only completed shards are cached; timeouts re-run
-        counters = (
-            dict(outcome.collector.counters)
-            if outcome.collector is not None
-            else dict(outcome.counters)
-        )
-        entry = CachedShard(
-            reports=outcome.reports, stats=outcome.stats, counters=counters
-        )
+        entry = CachedShard(reports=outcome.reports, stats=outcome.stats)
         # a failed store (cache I/O, injected fault) is an incident, not an
         # abort: the reports are already in hand, only persistence is lost
         self.firewall.call(

@@ -283,14 +283,9 @@ class FleetSupervisor:
             argv += ["--max-queue", str(self.max_queue)]
         if self.tenant_max_queue is not None:
             argv += ["--tenant-max-queue", str(self.tenant_max_queue)]
-        for flag, key in (
-            ("--jobs", "jobs"),
-            ("--backend", "backend"),
-            ("--cache-dir", "cache_dir"),
-        ):
-            value = self.service_options.get(key)
-            if value is not None:
-                argv += [flag, str(value)]
+        cache_dir = self.service_options.get("cache_dir")
+        if cache_dir is not None:
+            argv += ["--cache-dir", str(cache_dir)]
         env = dict(os.environ)
         # chaos plans target the *driver* process; a child daemon
         # inheriting them would double-inject every fleet fault

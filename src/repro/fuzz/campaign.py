@@ -1,9 +1,9 @@
 """Differential fuzz campaigns: generate → detect → explore → triage.
 
 Every generated program runs through the full pipeline — parse/SSA
-build, static detection through the sharded engine (``jobs`` > 1 shards
-per-primitive analysis exactly as one-shot ``detect`` does), bounded
-schedule exploration — and the two verdicts are reconciled by the same
+build, static detection through the engine exactly as one-shot
+``detect`` runs it, bounded schedule exploration — and the two verdicts
+are reconciled by the same
 :func:`repro.diffcheck.classify_oracles` core the corpus sweep uses.
 
 Each program is one isolation unit behind the resilience firewall
@@ -33,7 +33,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.detector.gcatch import run_gcatch
+from repro.detector.gcatch import resolve_max_retries, run_gcatch
 from repro.diffcheck import (
     AGREE_BUG,
     AGREE_CLEAN,
@@ -70,22 +70,18 @@ _DIVERGENCE_CAUSE = "bounded-oracle: exploration hit the step budget"
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    """Per-program analysis budgets and engine knobs for one campaign."""
+    """Per-program analysis budgets and retry bound for one campaign."""
 
     max_runs: int = 128  # schedule-exploration run budget per program
     max_steps: int = 6_000  # per-run interpreter step bound
     max_total_steps: int = 120_000  # deterministic cross-run step budget
-    jobs: Optional[int] = None  # engine shard parallelism for detection
-    backend: Optional[str] = None
-    max_retries: Optional[int] = None
+    max_retries: Optional[int] = None  # default: REPRO_MAX_RETRIES, else 1
 
     def to_json(self) -> dict:
         return {
             "max_runs": self.max_runs,
             "max_steps": self.max_steps,
             "max_total_steps": self.max_total_steps,
-            "jobs": self.jobs,
-            "backend": self.backend,
         }
 
 
@@ -210,11 +206,15 @@ class CampaignReport:
 def triage_program(
     program: GeneratedProgram,
     config: CampaignConfig = CampaignConfig(),
-    firewall: Optional[Firewall] = None,
     collector=None,
 ) -> ProgramTriage:
-    """Run one generated program through the full differential pipeline."""
-    firewall = firewall or Firewall(collector=collector)
+    """Run one generated program through the full differential pipeline.
+
+    The program is one firewall unit: a transient crash anywhere in it is
+    retried up to ``config.max_retries`` times, as detection's shards are.
+    """
+    retries = resolve_max_retries(config.max_retries)
+    firewall = Firewall(collector=collector, policy=RetryPolicy(max_retries=retries))
     triage = ProgramTriage(
         index=program.index,
         name=program.name,
@@ -238,11 +238,7 @@ def triage_program(
     def _analyze():
         maybe_fault("fuzz-program", program.name)
         static = run_gcatch(
-            ir_program,
-            collector=collector,
-            jobs=config.jobs,
-            backend=config.backend,
-            max_retries=config.max_retries,
+            ir_program, collector=collector, max_retries=config.max_retries
         )
         exploration = explore(
             ir_program,
@@ -312,7 +308,6 @@ def run_campaign(
     count: int,
     config: CampaignConfig = CampaignConfig(),
     collector=None,
-    retry_policy: Optional[RetryPolicy] = None,
     start: int = 0,
 ) -> CampaignReport:
     """Generate and triage ``count`` programs from one campaign seed.
@@ -323,16 +318,13 @@ def run_campaign(
     produces the exact triages of the equivalent single run.
     """
     obs = collector or NULL
-    firewall = Firewall(collector=collector, policy=retry_policy)
     report = CampaignReport(seed=seed, count=count, config=config, start=start)
     started = time.perf_counter()
     with obs.span("fuzz-campaign"):
         for index in range(start, start + count):
             program = generate_program(seed, index)
             program_started = time.perf_counter()
-            triage = triage_program(
-                program, config=config, firewall=firewall, collector=collector
-            )
+            triage = triage_program(program, config=config, collector=collector)
             report.triages.append(triage)
             if obs:
                 obs.count("fuzz.programs")

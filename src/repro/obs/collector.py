@@ -10,7 +10,7 @@ measurements flow through:
   entries of the same stage (one per channel, say) aggregate into a single
   per-stage total. Every span carries a ``span_id``, its ``parent_id`` and
   the ``trace_id`` of the request (or run) it belongs to, so a span tree
-  assembled across threads and forked workers keeps its lineage;
+  merged from per-shard and per-request collectors keeps its lineage;
 * typed counters, gauges and distributions record discrete effort: paths
   enumerated, path combinations, Pset sizes, constraint clause counts,
   solver outcomes, explorer runs/backtracks/prunes, fixer strategy
@@ -84,13 +84,13 @@ PIPELINE_STAGES: Tuple[str, ...] = (
 # -- identifiers -------------------------------------------------------------
 
 #: process-local monotonically increasing span counter; combined with the
-#: pid so ids stay unique across the engine's forked workers without the
+#: pid so ids stay unique across processes (fleet daemons) without the
 #: cost of a uuid per span on the hot path
 _SPAN_SEQ = itertools.count(1)
 
 
 def new_span_id() -> str:
-    """A 16-hex-char span id, unique within (and across forked) processes."""
+    """A 16-hex-char span id, unique within and across processes."""
     return "%08x%08x" % (os.getpid() & 0xFFFFFFFF, next(_SPAN_SEQ) & 0xFFFFFFFF)
 
 
@@ -103,9 +103,9 @@ def new_trace_id() -> str:
 class Span:
     """One timed region; spans form a tree via ``children``.
 
-    ``span_id``/``parent_id``/``trace_id`` make the lineage explicit so a
-    tree reassembled from thread- or fork-pool shards is identical in
-    shape to the serial tree; ``attrs`` carries evidence pointers (shard
+    ``span_id``/``parent_id``/``trace_id`` make the lineage explicit so
+    trees merged from engine shards and daemon requests keep their place
+    in the enclosing tree; ``attrs`` carries evidence pointers (shard
     label, scope fingerprint, outcome) for slow-request exemplars.
     """
 
@@ -292,8 +292,7 @@ class Dist:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Dist":
-        """Rebuild from :meth:`to_dict` output (a snapshot or a shard
-        shipped back from a forked worker)."""
+        """Rebuild from :meth:`to_dict` output (a stats snapshot)."""
         dist = cls()
         dist.count = int(payload["count"])
         dist.total = float(payload["total"])
@@ -382,8 +381,8 @@ class Collector:
             self.spans.append(span)
 
     def adopt_spans(self, spans: Sequence[Span]) -> None:
-        """Graft completed span trees (from a sub-collector, possibly a
-        forked worker) into this collector *with lineage*: if a span is
+        """Graft completed span trees (from a sub-collector) into this
+        collector *with lineage*: if a span is
         open, the adopted trees become its children and inherit its trace
         id; otherwise they join the top level."""
         parent = self._stack[-1] if self._stack else None
@@ -429,9 +428,9 @@ class Collector:
         """Fold another collector's data into this one: counters add,
         gauges last-write-wins, distributions merge, and span trees are
         *adopted* — grafted under the currently open span (when there is
-        one) with parent/trace lineage rewritten, so sub-process and
-        pool-shard traces keep their place in the request's tree instead
-        of merging flat."""
+        one) with parent/trace lineage rewritten, so engine-shard and
+        request traces keep their place in the enclosing tree instead of
+        merging flat."""
         with self._lock:
             for name, n in other.counters.items():
                 self.counters[name] = self.counters.get(name, 0) + n

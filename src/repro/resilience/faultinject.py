@@ -35,8 +35,8 @@ A :class:`FaultPlan` is a list of rules parsed from a compact spec
 
 Rules are ``;``-separated. Call counts are kept **per (rule, label)** —
 each analysis unit counts its own calls — so a plan degrades the same
-shard whether the engine runs serially or with ``jobs=4`` (the chaos
-suite's parity matrix depends on this). Probabilistic rules hash
+shard whatever else the run analyzes and in whatever order (the chaos
+suite depends on this). Probabilistic rules hash
 ``(seed, site, label, count)`` instead of drawing from shared RNG state,
 which keeps them order-independent too.
 """
@@ -207,8 +207,8 @@ class FaultPlan:
 
 # -- activation --------------------------------------------------------------
 
-#: the process-wide active plan; forked pool workers inherit it, threads
-#: share it (counters are lock-protected)
+#: the process-wide active plan; threads share it (counters are
+#: lock-protected)
 _PLAN: Optional[FaultPlan] = None
 
 
@@ -230,7 +230,7 @@ def injected(spec_or_plan, seed: int = 0) -> Iterator[FaultPlan]:
     """Scoped activation — the chaos suite's workhorse::
 
         with injected("solve@alpha:raise"):
-            result = run_gcatch(program, jobs=4)
+            result = run_gcatch(program)
     """
     plan = (
         spec_or_plan

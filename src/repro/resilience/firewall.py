@@ -1,14 +1,14 @@
 """The exception firewall: crashes become incidents, transient ones retry.
 
 One :class:`Firewall` guards one run. Call :meth:`Firewall.call` around an
-isolation unit (an engine shard, a serial per-channel analysis, a cache
-probe, a GFix strategy) and a crash inside it is converted into a
-structured :class:`~repro.resilience.incidents.Incident` instead of
-propagating — completed units are always kept.
+isolation unit (an engine shard, a cache probe, a GFix strategy) and a
+crash inside it is converted into a structured
+:class:`~repro.resilience.incidents.Incident` instead of propagating —
+completed units are always kept.
 
-Retries are bounded and deterministic: transient failure classes (pool
-worker death, cache I/O, injected-transient faults) are re-attempted up
-to ``RetryPolicy.max_retries`` times with a fixed exponential backoff
+Retries are bounded and deterministic: transient failure classes (cache
+I/O, injected-transient faults) are re-attempted up to
+``RetryPolicy.max_retries`` times with a fixed exponential backoff
 schedule (``backoff_base * 2**attempt`` seconds — no jitter, so runs are
 reproducible). Everything else fails fast into an incident.
 
@@ -29,15 +29,8 @@ from repro.obs import NULL
 from repro.resilience.faultinject import FaultInjected
 from repro.resilience.incidents import Incident, make_incident
 
-try:  # BrokenProcessPool signals fork-pool worker death
-    from concurrent.futures.process import BrokenProcessPool
-except ImportError:  # pragma: no cover - always present on CPython 3.8+
-    class BrokenProcessPool(Exception):
-        pass
-
-
-#: exception classes retried by default: I/O flakiness and pool death
-TRANSIENT_TYPES = (OSError, EOFError, ConnectionError, pickle.PickleError, BrokenProcessPool)
+#: exception classes retried by default: I/O flakiness
+TRANSIENT_TYPES = (OSError, EOFError, ConnectionError, pickle.PickleError)
 
 
 def is_transient(exc: BaseException) -> bool:
@@ -76,9 +69,8 @@ class Guarded:
 class Firewall:
     """Run-scoped crash isolation with incident accounting.
 
-    Thread-safe: engine shards running across a pool report into one
-    firewall. ``incidents`` accumulates in completion order; callers that
-    need deterministic ordering sort by their own unit index.
+    Thread-safe: the daemon's request workers report into one firewall.
+    ``incidents`` accumulates in recording order.
     """
 
     def __init__(self, collector=None, policy: Optional[RetryPolicy] = None):
@@ -88,8 +80,8 @@ class Firewall:
         self._lock = threading.Lock()
 
     def record(self, incident: Incident) -> None:
-        """Admit an externally-built incident (e.g. shipped back from a
-        forked worker) into this run's ledger."""
+        """Admit an incident built by a ``record=False`` call into this
+        run's ledger."""
         with self._lock:
             self.incidents.append(incident)
         if self.collector:
@@ -110,8 +102,7 @@ class Firewall:
         ``KeyboardInterrupt``/``SystemExit`` always propagate.
         ``record=False`` builds the incident without admitting it to the
         ledger — the engine defers recording to its reassembly loop so
-        incidents land in deterministic shard order (and exactly once,
-        whether the shard ran in-process or in a forked worker).
+        incidents land in shard order.
         """
         attempt = 0
         while True:

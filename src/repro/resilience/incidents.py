@@ -4,10 +4,9 @@ A crash that the firewall intercepts becomes one :class:`Incident` — a
 plain-data record of *where* the pipeline degraded (the firewall site and
 the unit's label), *what* was raised (exception class, message, a stable
 traceback digest for dedup across runs) and *how hard* the firewall tried
-(attempt count, transient classification). Incidents are picklable, so
-they cross the fork-pool boundary intact, and JSON-serializable, so they
-ride in the ``repro.obs/2`` stats payload as the optional ``incidents``
-block.
+(attempt count, transient classification). Incidents are plain data:
+picklable, and JSON-serializable so they ride in the ``repro.obs/2``
+stats payload as the optional ``incidents`` block.
 
 Run health is a three-valued verdict over one run's incidents:
 
@@ -106,22 +105,20 @@ def make_incident(
 
 def overall_health(
     incidents: List[Incident],
-    units_total: Optional[int] = None,
-    units_failed: int = 0,
+    shards: Optional[int] = None,
+    failed_shards: int = 0,
 ) -> str:
     """Classify a run: ``ok`` / ``degraded`` / ``failed``.
 
-    ``units_total``/``units_failed`` count the run's isolation units
-    (engine shards, or serial channels + checkers). A run with incidents
-    but surviving units is ``degraded``; a run where every unit failed —
-    or that had incidents while producing no units at all (a
-    pipeline-level crash before sharding) — is ``failed``.
+    ``shards``/``failed_shards`` count the run's isolation units (engine
+    shards). A run with incidents but surviving shards is ``degraded``; a
+    run where every shard failed — or that had incidents while producing
+    no shards at all (a pipeline-level crash before sharding) — is
+    ``failed``.
     """
     if not incidents:
         return HEALTH_OK
-    if units_total is not None and units_total > 0 and units_failed >= units_total:
-        return HEALTH_FAILED
-    if not units_total:
+    if not shards or failed_shards >= shards:
         return HEALTH_FAILED
     return HEALTH_DEGRADED
 

@@ -54,15 +54,15 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.detector.gcatch import (
-    GCatchResult,
-    resolve_checkers,
-    resolve_jobs,
-    resolve_max_retries,
-    run_gcatch,
-)
+from repro.detector.gcatch import GCatchResult, resolve_checkers, resolve_max_retries
 from repro.detector.reporting import BugReport
-from repro.engine import CacheView, ResultCache, diff_fingerprints
+from repro.engine import (
+    CacheView,
+    EngineConfig,
+    ResultCache,
+    diff_fingerprints,
+    run_engine,
+)
 from repro.engine.invalidate import InvalidationDelta
 from repro.obs import (
     STAGE_SERVICE_REQUEST,
@@ -177,8 +177,6 @@ class AnalysisService:
     def __init__(
         self,
         path: str,
-        jobs: Optional[int] = None,
-        backend: Optional[str] = None,
         cache: Optional[ResultCache] = None,
         cache_dir: Optional[str] = None,
         budget_wall_seconds: Optional[float] = None,
@@ -205,8 +203,6 @@ class AnalysisService:
         # deliberately shared across tenants: fingerprints are
         # content-addressed, so identical code keys identical entries
         self.cache = cache or ResultCache(cache_dir)
-        self.jobs = resolve_jobs(jobs)
-        self.backend = backend
         self.budget_wall_seconds = budget_wall_seconds
         self.budget_solver_nodes = budget_solver_nodes
         self.max_retries = resolve_max_retries(max_retries)
@@ -617,12 +613,8 @@ class AnalysisService:
             ).to_json()
         return payload
 
-    def _engine_config(self, ctx: RequestContext):
-        from repro.engine import EngineConfig
-
+    def _engine_config(self, ctx: RequestContext) -> EngineConfig:
         return EngineConfig(
-            jobs=self.jobs,
-            backend=self.backend or "thread",
             cache=ctx.cache,
             budget_wall_seconds=self.budget_wall_seconds,
             budget_solver_nodes=self.budget_solver_nodes,
@@ -648,25 +640,17 @@ class AnalysisService:
             else:
                 refresh_payload = delta.to_json()
                 refresh_payload["noop"] = delta.is_noop()
-        result = run_gcatch(
+        result = run_engine(
             ctx.tenant.state.program,
-            disentangle=self.disentangle,
+            config=self._engine_config(ctx),
             collector=ctx.obs,
-            jobs=self.jobs,
-            backend=self.backend,
-            cache=ctx.cache,
-            budget_wall_seconds=self.budget_wall_seconds,
-            budget_solver_nodes=self.budget_solver_nodes,
-            max_retries=self.max_retries,
-            retry_timeouts=self.retry_timeouts,
-            checkers=self.checkers,
         )
         return result, refresh_payload
 
     def _method_detect(self, params: dict, ctx: RequestContext) -> dict:
         result, refresh_payload = self._detect(params, ctx)
         tenant = ctx.tenant
-        shards = result.shards or []
+        shards = result.shards
         cached = sum(1 for s in shards if s.outcome == "cached")
         new_fps = {f"{s.kind}:{s.label}": s.fingerprint for s in shards}
         delta: Optional[InvalidationDelta] = None

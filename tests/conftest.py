@@ -14,6 +14,23 @@ def build(source: str, filename: str = "test.go"):
     return build_program(source, filename)
 
 
+def reference_reports(program):
+    """What the engine must reproduce, composed without it: the unguarded
+    ``BMOCDetector.detect`` loop plus every traditional checker, deduped
+    the way ``GCatchResult.all_reports`` lists them."""
+    from repro.detector.bmoc import BMOCDetector
+    from repro.detector.reporting import dedup_reports
+    from repro.detector.traditional import TRADITIONAL_CHECKERS, run_checker
+
+    detector = BMOCDetector(program)
+    traditional = [
+        report
+        for name in TRADITIONAL_CHECKERS
+        for report in run_checker(name, program, detector)
+    ]
+    return list(detector.detect().reports) + dedup_reports(traditional)
+
+
 @pytest.fixture
 def figure1_source() -> str:
     from repro.corpus.snippets import FIGURE1

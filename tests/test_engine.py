@@ -10,8 +10,8 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import EXIT_TIMEOUT, main
-from repro.detector.bmoc import AnalysisBudget, BudgetExceeded
-from repro.detector.gcatch import resolve_jobs, run_gcatch
+from repro.detector.bmoc import AnalysisBudget, BMOCDetector, BudgetExceeded
+from repro.detector.gcatch import run_gcatch
 from repro.engine import (
     EngineConfig,
     ResultCache,
@@ -20,7 +20,7 @@ from repro.engine import (
 )
 from repro.obs import Collector
 from repro.report.table import TIMEOUT_MARKER, render_bug_costs
-from tests.conftest import build
+from tests.conftest import build, reference_reports
 
 TWO_BUGS = """
 func leakOne() {
@@ -47,7 +47,7 @@ func fine() {
 """
 
 
-def report_keys(result):
+def keys_of(reports):
     return sorted(
         (
             r.category,
@@ -55,73 +55,51 @@ def report_keys(result):
             tuple(sorted((op.kind, op.prim_label, op.line) for op in r.blocked_ops)),
             r.solver_outcome,
         )
-        for r in result.all_reports()
+        for r in reports
     )
+
+
+def report_keys(result):
+    return keys_of(result.all_reports())
 
 
 class TestSharding:
     def test_engine_matches_serial_reports(self):
         program = build(TWO_BUGS)
-        serial = run_gcatch(program)
-        for jobs in (1, 2, 4):
-            parallel = run_gcatch(program, jobs=jobs)
-            assert report_keys(parallel) == report_keys(serial)
+        serial = keys_of(reference_reports(program))
+        assert report_keys(run_gcatch(program)) == serial
 
     def test_report_order_is_deterministic_across_runs(self):
         program = build(TWO_BUGS)
-        first = run_gcatch(program, jobs=4)
+        first = run_gcatch(program)
         for _ in range(3):
-            again = run_gcatch(program, jobs=4)
+            again = run_gcatch(program)
             assert [r.identity() for r in again.all_reports()] == [
                 r.identity() for r in first.all_reports()
             ]
 
     def test_shard_records_cover_primitives_and_checkers(self):
         program = build(TWO_BUGS)
-        result = run_gcatch(program, jobs=2)
+        result = run_gcatch(program)
         kinds = [s.kind for s in result.shards]
         assert kinds.count("bmoc") == 3  # three channels
         assert [s.label for s in result.shards if s.kind == "traditional"] == list(
             TRADITIONAL_CHECKERS
         )
 
-    def test_serial_path_has_no_shards(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        result = run_gcatch(build(TWO_BUGS))
-        assert result.shards is None
-
     def test_engine_stats_match_serial_effort(self):
         program = build(TWO_BUGS)
-        serial = run_gcatch(program).bmoc.stats
-        engine = run_gcatch(program, jobs=4).bmoc.stats
+        serial = BMOCDetector(program).detect().stats
+        engine = run_gcatch(program).bmoc.stats
         assert engine.channels_analyzed == serial.channels_analyzed
         assert engine.solver_calls == serial.solver_calls
         assert engine.groups_checked == serial.groups_checked
         assert engine.sat_results == serial.sat_results
 
-    def test_process_backend_parity(self):
-        import multiprocessing
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("no fork on this platform")
-        program = build(TWO_BUGS)
-        serial = run_gcatch(program)
-        forked = run_gcatch(program, jobs=2, backend="process")
-        assert report_keys(forked) == report_keys(serial)
-
-    def test_jobs_resolution_prefers_explicit_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "8")
-        assert resolve_jobs(2) == 2
-        assert resolve_jobs(None) == 8
-        monkeypatch.setenv("REPRO_JOBS", "not-a-number")
-        assert resolve_jobs(None) == 1
-        monkeypatch.delenv("REPRO_JOBS")
-        assert resolve_jobs(None) == 1
-
     def test_engine_threads_observability(self):
         collector = Collector("engine")
         program = build(TWO_BUGS)
-        result = run_gcatch(program, jobs=2, collector=collector)
+        result = run_gcatch(program, collector=collector)
         assert result.trace is collector
         totals = collector.stage_totals()
         assert totals["engine-shard"][0] == len(result.shards)
@@ -134,7 +112,7 @@ class TestSharding:
 class TestBudgets:
     def test_wall_budget_times_out_gracefully(self):
         program = build(TWO_BUGS)
-        result = run_gcatch(program, jobs=1, budget_wall_seconds=1e-9)
+        result = run_gcatch(program, budget_wall_seconds=1e-9)
         timeouts = result.timed_out_shards()
         assert timeouts and all(s.kind == "bmoc" for s in timeouts)
         assert result.has_timeouts()
@@ -145,16 +123,14 @@ class TestBudgets:
     def test_node_budget_times_out_and_counts(self):
         program = build(TWO_BUGS)
         collector = Collector("budget")
-        result = run_gcatch(
-            program, jobs=2, budget_solver_nodes=1, collector=collector
-        )
+        result = run_gcatch(program, budget_solver_nodes=1, collector=collector)
         assert result.timed_out_shards()
         assert collector.counters.get("engine.timeout", 0) >= 1
 
     def test_generous_budget_changes_nothing(self):
         program = build(TWO_BUGS)
         serial = run_gcatch(program)
-        budgeted = run_gcatch(program, jobs=2, budget_wall_seconds=60.0)
+        budgeted = run_gcatch(program, budget_wall_seconds=60.0)
         assert report_keys(budgeted) == report_keys(serial)
         assert not budgeted.timed_out_shards()
 
@@ -176,8 +152,8 @@ class TestWarmCache:
         cache = ResultCache()
         cold = Collector("cold")
         warm = Collector("warm")
-        first = run_gcatch(program, jobs=2, cache=cache, collector=cold)
-        second = run_gcatch(program, jobs=2, cache=cache, collector=warm)
+        first = run_gcatch(program, cache=cache, collector=cold)
+        second = run_gcatch(program, cache=cache, collector=warm)
         cold_calls = cold.counters["solver.calls"]
         warm_calls = warm.counters.get("solver.calls", 0)
         assert cold_calls > 0
@@ -189,14 +165,14 @@ class TestWarmCache:
     def test_cached_stats_preserve_effort_accounting(self):
         program = build(TWO_BUGS)
         cache = ResultCache()
-        first = run_gcatch(program, jobs=1, cache=cache)
-        second = run_gcatch(program, jobs=1, cache=cache)
+        first = run_gcatch(program, cache=cache)
+        second = run_gcatch(program, cache=cache)
         assert second.bmoc.stats.solver_calls == first.bmoc.stats.solver_calls
         assert all(s.outcome == "cached" for s in second.shards)
 
     def test_disk_cache_layout_and_cross_instance_reload(self, tmp_path):
         program = build(TWO_BUGS)
-        first = run_gcatch(program, jobs=1, cache=ResultCache(str(tmp_path)))
+        first = run_gcatch(program, cache=ResultCache(str(tmp_path)))
         entries = list(tmp_path.glob("objects/*/*.pkl"))
         assert len(entries) == len(first.shards)
         # every entry sits under objects/<first two hex chars>/<sha256>.pkl
@@ -206,31 +182,31 @@ class TestWarmCache:
         # a brand-new cache instance (fresh process, conceptually) hits disk
         fresh = ResultCache(str(tmp_path))
         warm = Collector("disk-warm")
-        second = run_gcatch(program, jobs=1, cache=fresh, collector=warm)
+        second = run_gcatch(program, cache=fresh, collector=warm)
         assert warm.counters["cache.hit"] == len(first.shards)
         assert report_keys(second) == report_keys(first)
 
     def test_corrupt_disk_entry_is_a_miss_not_an_error(self, tmp_path):
         program = build(TWO_BUGS)
-        run_gcatch(program, jobs=1, cache=ResultCache(str(tmp_path)))
+        run_gcatch(program, cache=ResultCache(str(tmp_path)))
         for entry in tmp_path.glob("objects/*/*.pkl"):
             entry.write_bytes(b"not a pickle")
         fresh = ResultCache(str(tmp_path))
-        result = run_gcatch(program, jobs=1, cache=fresh)
+        result = run_gcatch(program, cache=fresh)
         assert report_keys(result) == report_keys(run_gcatch(program))
 
     def test_timed_out_shards_are_not_cached(self):
         program = build(TWO_BUGS)
         cache = ResultCache()
-        run_gcatch(program, jobs=1, cache=cache, budget_wall_seconds=1e-9)
-        retry = run_gcatch(program, jobs=1, cache=cache)
+        run_gcatch(program, cache=cache, budget_wall_seconds=1e-9)
+        retry = run_gcatch(program, cache=cache)
         assert report_keys(retry) == report_keys(run_gcatch(program))
 
 
 class TestTimeoutSurfacing:
     def test_render_bug_costs_marks_timeouts(self):
         program = build(TWO_BUGS)
-        result = run_gcatch(program, jobs=1, budget_wall_seconds=1e-9)
+        result = run_gcatch(program, budget_wall_seconds=1e-9)
         table = render_bug_costs(
             result.all_reports(), timeouts=result.timed_out_shards()
         )
@@ -247,8 +223,6 @@ class TestTimeoutSurfacing:
             [
                 "detect",
                 str(target),
-                "--jobs",
-                "2",
                 "--budget-seconds",
                 "0.000000001",
                 "--fail-on-timeout",
@@ -258,7 +232,7 @@ class TestTimeoutSurfacing:
         out = capsys.readouterr().out
         assert "TIMEOUT" in out
         # without the flag the exit code reports bugs/no-bugs as usual
-        code = main(["detect", str(target), "--jobs", "2"])
+        code = main(["detect", str(target)])
         assert code in (0, 1)
 
     def test_cli_cache_dir_round_trip(self, tmp_path, capsys):
@@ -278,16 +252,11 @@ class TestTimeoutSurfacing:
 class TestEngineDirect:
     def test_run_engine_with_config(self):
         program = build(TWO_BUGS)
-        result = run_engine(program, config=EngineConfig(jobs=2))
-        assert report_keys(result) == report_keys(run_gcatch(program))
-
-    def test_unknown_backend_falls_back_to_thread(self):
-        program = build(TWO_BUGS)
-        result = run_gcatch(program, jobs=2, backend="thread")
+        result = run_engine(program, config=EngineConfig())
         assert report_keys(result) == report_keys(run_gcatch(program))
 
     def test_engine_handles_program_without_channels(self):
         program = build("func pure() int {\n\treturn 41 + 1\n}\n")
-        result = run_gcatch(program, jobs=4)
+        result = run_gcatch(program)
         assert result.all_reports() == []
         assert [s.kind for s in result.shards] == ["traditional"] * 5

@@ -69,7 +69,7 @@ def bmoc_shards(result):
 
 
 def run(source, cache, collector=None):
-    return run_gcatch(build(source), jobs=1, cache=cache, collector=collector)
+    return run_gcatch(build(source), cache=cache, collector=collector)
 
 
 class TestScopedInvalidation:
@@ -148,8 +148,8 @@ class TestOptionSensitivity:
     def test_analysis_options_key_the_cache(self):
         # disentangle on/off analyzes different scopes; entries must not collide
         cache = ResultCache()
-        with_dis = run_gcatch(build(BASE), jobs=1, cache=cache, disentangle=True)
-        without = run_gcatch(build(BASE), jobs=1, cache=cache, disentangle=False)
+        with_dis = run_gcatch(build(BASE), cache=cache, disentangle=True)
+        without = run_gcatch(build(BASE), cache=cache, disentangle=False)
         assert all(s.outcome != "cached" for s in bmoc_shards(without))
         assert sorted(r.identity() for r in without.all_reports()) == sorted(
             r.identity() for r in run_gcatch(build(BASE), disentangle=False).all_reports()

@@ -1,10 +1,12 @@
-"""Parity regression: the sharded engine must reproduce the serial detector.
+"""Parity regression: the sharded engine must reproduce the unsharded detector.
 
-Every case in the evaluation bug set is detected twice — ``jobs=1``
-(serial path, no engine) and ``jobs=4`` (thread-pool engine) — and the
-sorted report sets must be identical down to category, lines, blocked
-operations, and solver outcome. This is the guarantee that makes ``--jobs``
-a pure performance knob.
+Every case in the evaluation bug set is detected twice — through
+``run_gcatch`` (the engine's shard loop) and through the composed
+reference (``BMOCDetector.detect`` plus every traditional checker, with
+no shards, firewall or cache) — and the sorted report sets must be
+identical down to category, lines, blocked operations, and solver
+outcome. This is the guarantee that sharding, caching and the firewall
+change no verdict.
 """
 
 from __future__ import annotations
@@ -15,12 +17,12 @@ from repro.corpus.bugset import build_bug_set
 from repro.detector.gcatch import run_gcatch
 from repro.engine import ResultCache
 from repro.ssa.builder import build_program
+from tests.conftest import reference_reports
 
 BUG_SET = build_bug_set()
 
 
-def detect_keys(program, **kwargs):
-    result = run_gcatch(program, **kwargs)
+def keys_of(reports):
     return sorted(
         (
             r.category,
@@ -28,16 +30,18 @@ def detect_keys(program, **kwargs):
             tuple(sorted((op.kind, op.prim_label, op.line) for op in r.blocked_ops)),
             r.solver_outcome,
         )
-        for r in result.all_reports()
+        for r in reports
     )
+
+
+def detect_keys(program, **kwargs):
+    return keys_of(run_gcatch(program, **kwargs).all_reports())
 
 
 @pytest.mark.parametrize("case", BUG_SET, ids=[c.case_id for c in BUG_SET])
 def test_parallel_detection_matches_serial(case):
     program = build_program(case.source, case.case_id)
-    serial = detect_keys(program)
-    parallel = detect_keys(program, jobs=4)
-    assert parallel == serial
+    assert detect_keys(program) == keys_of(reference_reports(program))
 
 
 @pytest.mark.parametrize(
@@ -47,58 +51,32 @@ def test_warm_cache_matches_serial(case):
     """A cache round-trip (cold store, warm load) must also preserve parity."""
     program = build_program(case.source, case.case_id)
     cache = ResultCache()
-    serial = detect_keys(program)
-    cold = detect_keys(program, jobs=2, cache=cache)
-    warm = detect_keys(program, jobs=2, cache=cache)
+    serial = keys_of(reference_reports(program))
+    cold = detect_keys(program, cache=cache)
+    warm = detect_keys(program, cache=cache)
     assert cold == serial
     assert warm == serial
 
 
-def test_process_backend_parity_on_one_case():
-    import multiprocessing
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        pytest.skip("no fork on this platform")
-    case = max(BUG_SET, key=lambda c: len(c.source))
-    program = build_program(case.source, case.case_id)
-    assert detect_keys(program, jobs=2, backend="process") == detect_keys(program)
-
-
-def span_shape(span):
-    """Order-insensitive structural fingerprint of a span tree."""
-    return (span.name, tuple(sorted(span_shape(c) for c in span.children)))
-
-
-def test_fork_backend_span_tree_matches_serial_shape():
-    """The ISSUE-7 lineage criterion: a jobs=4 fork-backend detect yields
-    one rooted span tree, identical in shape to the serial engine's, with
-    parent/trace lineage intact across the process boundary."""
-    import multiprocessing
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        pytest.skip("no fork on this platform")
-
-    from repro.engine import EngineConfig, run_engine
+def test_engine_span_tree_is_one_rooted_tree():
+    """A detect yields one rooted span tree, with trace and parent lineage
+    intact through the merge of every shard's own collector."""
+    from repro.engine import run_engine
     from repro.obs import Collector, new_trace_id
 
     case = max(BUG_SET, key=lambda c: len(c.source))
     program = build_program(case.source, case.case_id)
     trace = new_trace_id()
-    shapes = {}
-    for label, config in (
-        ("serial", EngineConfig(jobs=1)),
-        ("fork", EngineConfig(jobs=4, backend="process")),
-    ):
-        collector = Collector("engine", trace_id=trace)
-        run_engine(program, config=config, collector=collector)
-        assert len(collector.spans) == 1, f"{label}: expected one rooted tree"
-        root = collector.spans[0]
-        for span in root.walk():
-            assert span.trace_id == trace, f"{label}: {span.name} lost the trace"
-            for child in span.children:
-                assert child.parent_id == span.span_id
-        shapes[label] = span_shape(root)
-    assert shapes["fork"] == shapes["serial"]
+    collector = Collector("engine", trace_id=trace)
+    result = run_engine(program, collector=collector)
+    assert len(collector.spans) == 1, "expected one rooted tree"
+    root = collector.spans[0]
+    for span in root.walk():
+        assert span.trace_id == trace, f"{span.name} lost the trace"
+        for child in span.children:
+            assert child.parent_id == span.span_id
+    shard_spans = [c for c in root.children if c.name == "engine-shard"]
+    assert len(shard_spans) == len(result.shards)
 
 
 def test_whole_bugset_counts_match():
@@ -107,7 +85,7 @@ def test_whole_bugset_counts_match():
     engine_total = 0
     for case in BUG_SET:
         program = build_program(case.source, case.case_id)
-        serial_total += len(run_gcatch(program).all_reports())
-        engine_total += len(run_gcatch(program, jobs=4).all_reports())
+        serial_total += len(reference_reports(program))
+        engine_total += len(run_gcatch(program).all_reports())
     assert engine_total == serial_total
     assert serial_total > 0

@@ -5,8 +5,9 @@ template factories (``repro.corpus.templates``) and checks two properties:
 
 * **round-trip stability** — ``print_file(parse_file(src))`` is a fixpoint:
   printing the parse of printed output reproduces it byte-for-byte;
-* **crash-freedom** — ``run_gcatch`` never raises, on the serial path and
-  through the sharded engine, and the two agree on the report set.
+* **crash-freedom** — ``run_gcatch`` never raises, and its sharded engine
+  agrees on the report set with the unsharded reference composition
+  (``BMOCDetector.detect`` plus every traditional checker).
 
 On failure the seed and the generated source are printed so the case can
 be replayed with ``compose(random.Random(seed))``.
@@ -24,6 +25,7 @@ from repro.engine import ResultCache
 from repro.golang.parser import parse_file
 from repro.golang.printer import print_file
 from repro.ssa.builder import build_program
+from tests.conftest import reference_reports
 
 FACTORIES = sorted(
     {
@@ -74,12 +76,12 @@ def test_detection_is_crash_free_and_engine_agrees(seed):
     source = compose(random.Random(seed))
     try:
         program = build_program(source, f"fuzz{seed}.go")
-        serial = run_gcatch(program)
-        engine = run_gcatch(program, jobs=2)
+        serial = reference_reports(program)
+        engine = run_gcatch(program)
     except Exception:
         print(describe(seed, source))
         raise
-    serial_ids = sorted(r.identity() for r in serial.all_reports())
+    serial_ids = sorted(r.identity() for r in serial)
     engine_ids = sorted(r.identity() for r in engine.all_reports())
     assert engine_ids == serial_ids, describe(seed, source)
 
@@ -91,8 +93,8 @@ def test_cached_detection_is_crash_free(seed):
     cache = ResultCache()
     try:
         program = build_program(source, f"fuzz{seed}.go")
-        cold = run_gcatch(program, jobs=2, cache=cache)
-        warm = run_gcatch(program, jobs=2, cache=cache)
+        cold = run_gcatch(program, cache=cache)
+        warm = run_gcatch(program, cache=cache)
     except Exception:
         print(describe(seed, source))
         raise
