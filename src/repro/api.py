@@ -233,7 +233,11 @@ class Project:
         args: Optional[List[Any]] = None,
         collector: Optional[Collector] = None,
     ) -> Exploration:
-        """Systematically enumerate schedules (the explorer's dynamic oracle)."""
+        """Systematically enumerate schedules (the explorer's dynamic oracle).
+
+        Lists every distinct outcome: the search does not stop at its first
+        leaking run.
+        """
         return explore(
             self.program,
             entry=entry,
@@ -242,6 +246,7 @@ class Project:
             preemption_bound=preemption_bound,
             args=args,
             collector=self._obs(collector),
+            every_outcome=True,
         )
 
     def replay(

@@ -697,6 +697,25 @@ def cmd_coverage(args: argparse.Namespace) -> int:
     return 0
 
 
+def _int_at_least(minimum: int):
+    """An argparse type for integer budgets: a value below ``minimum`` is a
+    usage error (exit 2), not a search that silently covers nothing."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+_POSITIVE = _int_at_least(1)
+
+
 def _add_resilience_args(p: argparse.ArgumentParser) -> None:
     """The resilience flags shared by detect/fix/stats."""
     p.add_argument("--strict", action="store_true",
@@ -758,16 +777,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="execute under seeded schedules")
     p.add_argument("file")
     p.add_argument("--entry", default="main")
-    p.add_argument("--seeds", type=int, default=10)
-    p.add_argument("--max-steps", type=int, default=100_000)
+    p.add_argument("--seeds", type=_POSITIVE, default=10)
+    p.add_argument("--max-steps", type=_POSITIVE, default=100_000)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("explore", help="systematically enumerate schedules")
     p.add_argument("file")
     p.add_argument("--entry", default="main")
-    p.add_argument("--max-runs", type=int, default=512)
-    p.add_argument("--max-steps", type=int, default=20_000)
-    p.add_argument("--preemption-bound", type=int, default=None)
+    p.add_argument("--max-runs", type=_POSITIVE, default=512)
+    p.add_argument("--max-steps", type=_POSITIVE, default=20_000)
+    p.add_argument("--preemption-bound", type=_int_at_least(0), default=None)
     p.add_argument("--replay", action="store_true",
                    help="re-run the first leaking trace to confirm it reproduces")
     p.add_argument("--json", action="store_true",
@@ -775,8 +794,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_explore)
 
     p = sub.add_parser("diffcheck", help="static vs dynamic differential over the bug corpus")
-    p.add_argument("--max-runs", type=int, default=512)
-    p.add_argument("--max-steps", type=int, default=20_000)
+    p.add_argument("--max-runs", type=_POSITIVE, default=512)
+    p.add_argument("--max-steps", type=_POSITIVE, default=20_000)
     p.add_argument("--cases", nargs="*", default=None,
                    help="restrict to corpus case_ids with these prefixes")
     p.add_argument("--json", action="store_true",
@@ -789,13 +808,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0,
                    help="campaign seed; (seed, index) replays any program")
-    p.add_argument("--count", type=int, default=100,
+    p.add_argument("--count", type=_POSITIVE, default=100,
                    help="number of generated programs")
-    p.add_argument("--budget", type=int, default=128,
+    p.add_argument("--budget", type=_POSITIVE, default=128,
                    help="schedule-exploration run budget per program")
-    p.add_argument("--max-steps", type=int, default=6000,
+    p.add_argument("--max-steps", type=_POSITIVE, default=6000,
                    help="per-run interpreter step bound")
-    p.add_argument("--total-steps", type=int, default=120_000,
+    p.add_argument("--total-steps", type=_POSITIVE, default=120_000,
                    help="deterministic cross-run step budget per program")
     p.add_argument("--max-retries", type=int, default=None,
                    help="transient-failure retries per program "
@@ -815,8 +834,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="full pipeline under the observability layer")
     p.add_argument("file")
     p.add_argument("--entry", default="main")
-    p.add_argument("--max-runs", type=int, default=512)
-    p.add_argument("--max-steps", type=int, default=20_000)
+    p.add_argument("--max-runs", type=_POSITIVE, default=512)
+    p.add_argument("--max-steps", type=_POSITIVE, default=20_000)
     p.add_argument("--json", action="store_true",
                    help="emit the trace as repro.obs-schema JSON")
     p.add_argument("--prom", action="store_true",

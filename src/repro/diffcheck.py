@@ -233,12 +233,14 @@ def diff_case(
     program = build_program(case.source, case.case_id + ".go", collector=collector)
     static = run_gcatch(program, collector=collector)
     static_bug = bool(static.bmoc.reports)
+    # the verdict reports leak_schedules and distinct_outcomes: full search
     exploration = explore(
         program,
         entry=case.driver or "main",
         max_runs=max_runs,
         max_steps=max_steps,
         collector=collector,
+        every_outcome=True,
     )
     return _classify(case, static_bug, len(static.bmoc.reports), exploration)
 

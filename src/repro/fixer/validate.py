@@ -172,11 +172,14 @@ def _validate_body(
 
     validation.static_clean = _static_clean(patched, fix)
 
+    # patched_leaks and the behaviour-set comparison need every outcome
     patched_exp = explore(
-        patched, entry=entry, max_runs=max_runs, max_steps=max_steps, collector=collector
+        patched, entry=entry, max_runs=max_runs, max_steps=max_steps,
+        collector=collector, every_outcome=True,
     )
     original_exp = explore(
-        original, entry=entry, max_runs=max_runs, max_steps=max_steps, collector=collector
+        original, entry=entry, max_runs=max_runs, max_steps=max_steps,
+        collector=collector, every_outcome=True,
     )
     if patched_exp.complete and original_exp.complete:
         _check_exhaustive(validation, original_exp, patched_exp)

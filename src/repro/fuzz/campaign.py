@@ -101,6 +101,7 @@ class ProgramTriage:
     runs: int = 0
     total_steps: int = 0
     complete: bool = False
+    stopped: str = ""  # why exploration ended (repro.runtime.explorer.STOP_*)
     templates: Tuple[str, ...] = ()
     mutations: Tuple[str, ...] = ()
     error: str = ""  # crash summary for the two crash buckets
@@ -126,6 +127,7 @@ class ProgramTriage:
             "runs": self.runs,
             "total_steps": self.total_steps,
             "complete": self.complete,
+            "stopped": self.stopped,
             "templates": list(self.templates),
             "mutations": list(self.mutations),
         }
@@ -278,6 +280,7 @@ def triage_program(
     triage.runs = exploration.runs
     triage.total_steps = exploration.total_steps
     triage.complete = exploration.complete
+    triage.stopped = exploration.stopped
     if classification in (AGREE_BUG, AGREE_CLEAN):
         triage.bucket = BUCKET_AGREE
     elif explained:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.report.table import render_simple
+from repro.runtime.explorer import STOP_FIRST_LEAK
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.diffcheck import DifferentialReport
@@ -58,13 +59,16 @@ def render_campaign(report: "CampaignReport") -> str:
     campaign's interesting rows are the disagreements and crashes.
     """
     interesting = [t for t in report.triages if t.bucket != "agree"]
+    # Runs '+' marks a search a bound cut, not one its first leak ended
     rows = [
         [
             t.name,
             ",".join(t.templates) or "-",
             f"{t.static_reports}" if t.classification else "?",
             t.dynamic or "?",
-            f"{t.runs}{'' if t.complete else '+'}" if t.classification else "-",
+            f"{t.runs}{'' if t.complete or t.stopped == STOP_FIRST_LEAK else '+'}"
+            if t.classification
+            else "-",
             t.bucket,
             t.explanation or t.error or ("-" if t.explained else "UNEXPLAINED"),
         ]

@@ -3,7 +3,8 @@
 * :mod:`repro.runtime.scheduler` — seeded random scheduling (the paper's
   sampling validation) and trace replay;
 * :mod:`repro.runtime.explorer` — bounded systematic schedule enumeration
-  with sleep-set partial-order pruning;
+  with sleep-set partial-order pruning, stopping at the first leaking run
+  unless the caller asks for every outcome;
 * :mod:`repro.runtime.checkpoint` — interpreter checkpoints the explorer
   resumes sibling runs from;
 * :mod:`repro.runtime.choices` — the choice-policy abstraction both share.

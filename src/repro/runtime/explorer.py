@@ -31,7 +31,13 @@ replaces sampling with bounded systematic search:
 * exploration is bounded by a run budget, a per-run branching (depth) bound
   and an optional preemption bound; :class:`Exploration.complete` reports
   honestly whether the whole space within the program's semantics was
-  covered or the bound was hit.
+  covered or the bound was hit;
+* by default the search stops after its first leaking run: once one
+  schedule leaks, the oracle's verdict is "leak" whatever the search does
+  next (model checkers stop at the first counterexample the same way).
+  The stopped search is a prefix of the full one. Callers that count or
+  list outcomes pass ``every_outcome=True``; :attr:`Exploration.stopped`
+  records why the search ended.
 
 Every explored outcome carries its choice trace, and
 :class:`ReplayScheduler` re-executes any trace deterministically — a
@@ -524,6 +530,14 @@ class _WorkItem:
     resume: Optional[_ResumePoint]  # None only for the root run, which starts at ``entry``
 
 
+#: why a search ended: its work ran out, a leak decided the verdict, or a
+#: bound cut it
+STOP_EXHAUSTED = "exhausted"
+STOP_FIRST_LEAK = "first-leak"
+STOP_MAX_RUNS = "max-runs"
+STOP_STEP_BUDGET = "step-budget"
+
+
 @dataclass
 class Exploration:
     """Everything a bounded systematic search established."""
@@ -534,7 +548,8 @@ class Exploration:
     step_limited_runs: int = 0
     backtracks: int = 0  # alternative prefixes scheduled for exploration
     total_steps: int = 0  # interpreter steps summed across every run
-    complete: bool = True  # False whenever any bound truncated the search
+    complete: bool = True  # False whenever any bound or stop left work undone
+    stopped: str = STOP_EXHAUSTED
     outcomes: List[ExecutionResult] = field(default_factory=list)
     _signatures: Dict[tuple, ExecutionResult] = field(default_factory=dict)
     trace: Optional[Any] = None  # the run's repro.obs.Collector, if any
@@ -566,7 +581,12 @@ class Exploration:
         return self.complete and not self.any_leak
 
     def render(self) -> str:
-        status = "complete" if self.complete else "bounded"
+        if self.complete:
+            status = "complete"
+        elif self.stopped == STOP_FIRST_LEAK:
+            status = "stopped at first leak"
+        else:
+            status = "bounded"
         lines = [
             f"explored {self.runs} schedule(s) ({status}; {self.pruned_runs} pruned), "
             f"{len(self.outcomes)} distinct outcome(s), {len(self.leaking())} leaking"
@@ -594,6 +614,7 @@ class Exploration:
             "backtracks": self.backtracks,
             "total_steps": self.total_steps,
             "complete": self.complete,
+            "stopped": self.stopped,
             "any_leak": self.any_leak,
             "outcomes": [
                 {
@@ -631,6 +652,7 @@ def explore(
     prune: bool = True,
     args: Optional[List[Any]] = None,
     collector=None,
+    every_outcome: bool = False,
 ) -> Exploration:
     """Depth-first enumerate schedules of ``entry`` up to the given bounds.
 
@@ -638,7 +660,14 @@ def explore(
     interleaving (modulo commutation of independent steps) was covered.
     ``collector`` (a :class:`repro.obs.Collector`) receives an ``explore``
     span plus run/backtrack/prune counters, aggregated across every
-    program execution the search performs.
+    program execution the search performs, and each finished run's step
+    count in the ``explore.run.steps`` distribution.
+
+    The search stops after the first run whose result is
+    ``blocked_forever``: if that run's ``seed`` is k, it made k+1 runs and
+    kept the outcomes the full search has up to and including that leak.
+    ``every_outcome=True`` searches on, for callers that count or list
+    outcomes (``repro explore``, diffcheck, patch validation).
 
     ``max_total_steps`` bounds the *cumulative* interpreter steps across
     all runs — a deterministic analogue of a wall-clock budget, used by
@@ -657,9 +686,11 @@ def explore(
         while stack:
             if exploration.runs >= max_runs:
                 exploration.complete = False
+                exploration.stopped = STOP_MAX_RUNS
                 break
             if max_total_steps is not None and exploration.total_steps >= max_total_steps:
                 exploration.complete = False
+                exploration.stopped = STOP_STEP_BUDGET
                 if obs:
                     obs.count("explore.step-budget-exhausted")
                 break
@@ -691,6 +722,8 @@ def explore(
             if result is not None:
                 exploration.total_steps += result.steps
                 exploration.record(result)
+                if obs:
+                    obs.observe("explore.run.steps", result.steps)
                 if result.hit_step_limit:
                     exploration.step_limited_runs += 1
                     exploration.complete = False
@@ -711,6 +744,12 @@ def explore(
                             resume=bp.resume,
                         )
                     )
+            if result is not None and result.blocked_forever and not every_outcome and stack:
+                exploration.complete = False
+                exploration.stopped = STOP_FIRST_LEAK
+                if obs:
+                    obs.count("explore.first-leak-stops")
+                break
     if obs:
         obs.count("explore.checkpoints", checkpoints)
         obs.count("explore.restored-steps", restored_steps)

@@ -138,6 +138,41 @@ class TestExploreCommand:
         assert "reproduced" in out
 
 
+class TestBudgetValidation:
+    """A run, step or program budget below one explores nothing; argparse
+    rejects it (exit 2) instead of reporting a vacuous clean result."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["explore", "FILE", "--max-runs", "0"],
+            ["explore", "FILE", "--max-steps", "0"],
+            ["explore", "FILE", "--preemption-bound", "-1"],
+            ["diffcheck", "--max-runs", "0"],
+            ["diffcheck", "--max-steps", "-5"],
+            ["stats", "FILE", "--max-runs", "0"],
+            ["stats", "FILE", "--max-steps", "0"],
+            ["run", "FILE", "--seeds", "0"],
+            ["run", "FILE", "--max-steps", "0"],
+            ["fuzz", "--budget", "0", "--count", "10"],
+            ["fuzz", "--max-steps", "0"],
+            ["fuzz", "--total-steps", "0"],
+            ["fuzz", "--count", "0"],
+        ],
+        ids=lambda argv: "-".join(a.strip("-") for a in argv if a != "FILE"),
+    )
+    def test_budget_below_its_floor_is_a_usage_error(self, argv, buggy_file, capsys):
+        argv = [buggy_file if a == "FILE" else a for a in argv]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "must be at least" in capsys.readouterr().err
+
+    def test_zero_preemption_bound_is_accepted(self, clean_file, capsys):
+        assert main(["explore", clean_file, "--preemption-bound", "0"]) == 0
+        assert "0 leaking" in capsys.readouterr().out
+
+
 class TestDiffcheckCommand:
     def test_agreement_table(self, capsys):
         code = main(["diffcheck", "--max-runs", "64"])
@@ -441,3 +476,20 @@ class TestTelemetryCommands:
         ) == 4
         wall = stats["distributions"]["fuzz.program.seconds"]
         assert wall["count"] == 4 and wall["p50"] is not None
+
+    def test_fuzz_json_traces_runs_and_first_leak_stops(self, capsys):
+        import json
+
+        main(["fuzz", "--count", "10", "--json"])
+        payload = json.loads(capsys.readouterr().out)
+        counters = payload["stats"]["counters"]
+        triages = payload["triages"]
+        run_steps = payload["stats"]["distributions"]["explore.run.steps"]
+        # every run that was not pruned observes its steps
+        assert run_steps["count"] == counters["explore.runs"] - counters.get(
+            "explore.sleep-prunes", 0
+        )
+        assert run_steps["total"] == sum(t["total_steps"] for t in triages)
+        stops = sum(t["stopped"] == "first-leak" for t in triages)
+        assert stops > 0
+        assert counters["explore.first-leak-stops"] == stops

@@ -159,11 +159,28 @@ class TestBoundsHonesty:
         assert not bounded.complete
 
     def test_leaky_program_counts_schedules(self):
-        exploration = explore(build_program(LEAKY, "leaky.go"))
+        exploration = explore(build_program(LEAKY, "leaky.go"), every_outcome=True)
         assert exploration.complete
         assert exploration.any_leak
         assert exploration.runs >= 2  # at least the leak and the clean order
         assert len(exploration.outcomes) >= 1
+
+    def test_default_search_stops_at_its_first_leak(self):
+        program = build_program(LEAKY, "leaky.go")
+        full = explore(program, every_outcome=True)
+        stopped = explore(program)
+        assert full.complete and full.stopped == "exhausted" and full.runs == 2
+        assert stopped.stopped == "first-leak" and stopped.runs == 1
+        assert not stopped.complete  # the other order was never run
+        assert not stopped.leak_free and stopped.any_leak
+        assert stopped.outcomes == full.outcomes[:1]
+        assert "(stopped at first leak;" in stopped.render()
+        assert stopped.to_json()["stopped"] == "first-leak"
+
+    def test_run_budget_stop_is_recorded(self):
+        exploration = explore(build_program(RARE_RACE, "rare.go"), max_runs=2)
+        assert exploration.stopped == "max-runs"
+        assert "(bounded;" in exploration.render()
 
     def test_render_mentions_leak(self):
         exploration = explore(build_program(LEAKY, "leaky.go"))

@@ -7,7 +7,10 @@ tests pin the search to the one that replayed every prefix from ``main``:
 * golden digests of whole explorations — every ``Exploration`` field,
   every outcome (signature, seed, ``steps``, ``goroutine_steps``,
   ``choice_trace``) and the ``explore.*`` / ``run.*`` counters of a
-  ``Collector``, minus the two counters checkpoints introduced;
+  ``Collector``, minus the two counters checkpoints introduced. They
+  digest the full search (``every_outcome=True``);
+* the first-leak prefix oracle: the default search, which stops at its
+  first leaking run, is the full search cut after that run;
 * a replay property that needs no checkpoint code: each explored outcome,
   replayed from ``main`` with ``replay_trace``, is the same result;
 * a reference search that replays every run from ``main``, compared with
@@ -42,6 +45,8 @@ from repro.runtime import scheduler
 from repro.runtime.checkpoint import Checkpoint
 from repro.runtime.choices import Choice, ChoicePolicy
 from repro.runtime.explorer import (
+    STOP_FIRST_LEAK,
+    STOP_MAX_RUNS,
     Exploration,
     _Bounds,
     _DirectedPolicy,
@@ -124,20 +129,30 @@ def exploration_digest(exploration, collector) -> str:
     return hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def _explore_pool_program(index: int, collector=None):
-    """Program ``index`` of the seed-0 campaign, explored at campaign defaults."""
-    config = CampaignConfig()
+def _pool_program(index: int):
+    """Program ``index`` of the seed-0 campaign and its entry."""
     generated = generate_program(0, index)
-    program = build_program(generated.source, generated.name + ".go")
-    exploration = explore(
-        program,
-        entry=generated.entry,
+    return build_program(generated.source, generated.name + ".go"), generated.entry
+
+
+def _explore_at_campaign_defaults(program, entry, **options):
+    config = CampaignConfig()
+    bounds = dict(
         max_runs=config.max_runs,
         max_steps=config.max_steps,
         max_total_steps=config.max_total_steps,
-        collector=collector,
     )
-    return program, generated.entry, exploration
+    bounds.update(options)
+    return explore(program, entry=entry, **bounds)
+
+
+def _explore_pool_program(index: int, collector=None):
+    """Program ``index`` of the seed-0 campaign: the full search at campaign defaults."""
+    program, entry = _pool_program(index)
+    exploration = _explore_at_campaign_defaults(
+        program, entry, collector=collector, every_outcome=True
+    )
+    return program, entry, exploration
 
 
 def pool_digests():
@@ -154,7 +169,9 @@ def bugset_digests():
     for case in build_bug_set():
         collector = Collector()
         program = build_program(case.source, case.case_id + ".go")
-        exploration = explore(program, entry=case.driver or "main", collector=collector)
+        exploration = explore(
+            program, entry=case.driver or "main", collector=collector, every_outcome=True
+        )
         digests.append(exploration_digest(exploration, collector))
     return digests
 
@@ -174,6 +191,75 @@ class TestGoldenSearch:
         got = bugset_digests()
         assert len(got) == len(BUGSET_DIGESTS)
         assert _mismatches(got, BUGSET_DIGESTS) == []
+
+
+_SEARCH_FIELDS = (
+    "runs",
+    "pruned_runs",
+    "step_limited_runs",
+    "backtracks",
+    "total_steps",
+    "complete",
+    "outcomes",
+)
+
+
+def first_leak_mismatches(explore_with):
+    """Where the default search departs from the full one cut after its first leak.
+
+    ``explore_with(**options)`` explores one program under fixed bounds.
+    Without a leak the default search must be the full search. With its
+    first leak at run k (that outcome's ``seed``), the default search makes
+    k+1 runs, keeps the full search's outcomes with seed <= k and equals
+    the full search bounded to k+1 runs, except that it stops at the first
+    leak where that one stops at the run bound. Returns ``(mismatched
+    field names, whether the program leaks)``.
+    """
+    full = explore_with(every_outcome=True)
+    stopped = explore_with()
+    leaks = [o.seed for o in full.outcomes if o.blocked_forever]
+    cut, mismatched = full, []
+    if leaks:
+        k = min(leaks)
+        cut = explore_with(every_outcome=True, max_runs=k + 1)
+        if stopped.runs != k + 1:
+            mismatched.append("runs != k+1")
+        if stopped.outcomes != [o for o in full.outcomes if o.seed <= k]:
+            mismatched.append("outcomes != full outcomes with seed <= k")
+    mismatched += [f for f in _SEARCH_FIELDS if getattr(stopped, f) != getattr(cut, f)]
+    expected_stop = STOP_FIRST_LEAK if leaks and cut.stopped == STOP_MAX_RUNS else cut.stopped
+    if stopped.stopped != expected_stop:
+        mismatched.append("stopped")
+    return mismatched, bool(leaks)
+
+
+class TestFirstLeakPrefix:
+    def test_seed0_pool_at_campaign_defaults(self):
+        mismatched, leaking = {}, 0
+        for index in range(POOL):
+            program, entry = _pool_program(index)
+            fields, leaks = first_leak_mismatches(
+                lambda **options: _explore_at_campaign_defaults(program, entry, **options)
+            )
+            leaking += leaks
+            if fields:
+                mismatched[index] = fields
+        assert mismatched == {}
+        assert leaking == 53
+
+    @pytest.mark.slow
+    def test_bug_set_at_explore_defaults(self):
+        mismatched, leaking = {}, 0
+        for case in build_bug_set():
+            program = build_program(case.source, case.case_id + ".go")
+            fields, leaks = first_leak_mismatches(
+                lambda **options: explore(program, entry=case.driver or "main", **options)
+            )
+            leaking += leaks
+            if fields:
+                mismatched[case.case_id] = fields
+        assert mismatched == {}
+        assert leaking == 46
 
 
 class TestReplayProperty:

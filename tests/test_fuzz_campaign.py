@@ -25,8 +25,11 @@ from repro.fuzz import (
     run_campaign,
     triage_program,
 )
+from repro.fuzz.campaign import CampaignConfig, CampaignReport, ProgramTriage
 from repro.obs import Collector, snapshot
 from repro.resilience.faultinject import injected
+from repro.runtime.explorer import explore
+from repro.ssa.builder import build_program
 
 SMOKE_COUNT = 25
 
@@ -91,6 +94,45 @@ class TestBuckets:
         assert f"{SMOKE_COUNT} program(s)" in text
         assert "agreement rate:" in text
         assert "unexplained: 0" in text
+
+
+class TestFirstLeakStop:
+    """Triage reads only the dynamic verdict, and one leaking schedule
+    decides it: exploration stops after the first leaking run."""
+
+    def test_leaking_program_stops_after_its_first_leak(self):
+        program = generate_program(0, 26)
+        config = CampaignConfig()
+        full = explore(
+            build_program(program.source, program.name + ".go"),
+            entry=program.entry,
+            max_runs=config.max_runs,
+            max_steps=config.max_steps,
+            max_total_steps=config.max_total_steps,
+            every_outcome=True,
+        )
+        first_leak = min(o.seed for o in full.leaking())
+        assert 0 < first_leak < full.runs - 1
+        triage = triage_program(program, config=config)
+        assert triage.dynamic == "leak"
+        assert triage.stopped == "first-leak"
+        assert triage.runs == first_leak + 1
+        assert not triage.complete
+        assert triage.to_dict()["stopped"] == "first-leak"
+
+    def test_runs_column_marks_bounds_not_first_leak_stops(self):
+        report = CampaignReport(seed=0, count=2, config=CampaignConfig())
+        report.triages = [
+            ProgramTriage(index=0, name="bounded", bucket=BUCKET_EXPLAINED,
+                          classification="static-only", dynamic="clean",
+                          runs=128, stopped="max-runs"),
+            ProgramTriage(index=1, name="leaked", bucket=BUCKET_UNEXPLAINED,
+                          classification="dynamic-only", dynamic="leak",
+                          explained=False, runs=7, stopped="first-leak"),
+        ]
+        text = report.render()
+        assert "128+" in text
+        assert " 7 " in text and "7+" not in text
 
 
 class TestKnownFindings:
