@@ -20,8 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, List, Optional
 
-from repro.detector.gcatch import GCatchResult, run_gcatch
+from repro.detector.gcatch import GCatchResult
 from repro.detector.reporting import BugReport
+from repro.engine import EngineConfig, run_engine
 from repro.fixer.dispatcher import FixResult, GFix, GFixSummary
 from repro.obs import NULL, Collector
 from repro.runtime.choices import Choice
@@ -126,42 +127,22 @@ class Project:
 
     def detect(
         self,
-        disentangle: bool = True,
+        config: Optional[EngineConfig] = None,
         collector: Optional[Collector] = None,
-        cache=None,
-        budget_wall_seconds: Optional[float] = None,
-        budget_solver_nodes: Optional[int] = None,
-        max_retries: Optional[int] = None,
-        retry_timeouts: bool = False,
-        checkers: Optional[List[str]] = None,
     ) -> GCatchResult:
         """Run GCatch (BMOC detector + the five traditional checkers).
 
         Detection runs shard by shard through :mod:`repro.engine`;
-        ``cache`` (a :class:`repro.engine.ResultCache`) makes re-runs
-        incremental; ``budget_*`` bound per-primitive effort, degrading
-        to TIMEOUT markers instead of unbounded analysis.
+        ``config`` (a :class:`repro.engine.EngineConfig`, default: no
+        cache, no budget, every checker) sets the result cache,
+        per-primitive budgets, retries and the checker set.
 
         Every analysis unit runs behind the :mod:`repro.resilience`
         firewall: a crashing unit becomes an incident on the result
         (``result.incidents``, ``result.health()``) instead of aborting
-        the run. ``max_retries`` (default: ``REPRO_MAX_RETRIES``, else 1)
-        bounds transient-failure retries; ``retry_timeouts`` retries a
-        solver-timeout shard once with a quartered node budget;
-        ``checkers`` (default: ``REPRO_CHECKERS``, else all) restricts
-        the traditional-checker set.
+        the run.
         """
-        return run_gcatch(
-            self.program,
-            disentangle=disentangle,
-            collector=self._obs(collector),
-            cache=cache,
-            budget_wall_seconds=budget_wall_seconds,
-            budget_solver_nodes=budget_solver_nodes,
-            max_retries=max_retries,
-            retry_timeouts=retry_timeouts,
-            checkers=checkers,
-        )
+        return run_engine(self.program, config=config, collector=self._obs(collector))
 
     # -- fixing -------------------------------------------------------------
 

@@ -9,8 +9,12 @@ Commands mirror the paper's tooling:
   distinct outcome (the dynamic oracle as a checker);
 * ``diffcheck``       — diff GCatch's static verdicts against the
   explorer's dynamic verdicts over the 49-bug corpus;
+* ``fuzz``            — generative differential fuzz campaign;
 * ``stats``           — run the full pipeline under the observability
   layer and print the per-stage trace (``--json`` for the machine form);
+* ``serve`` / ``watch`` / ``client`` / ``top`` — the resident analysis
+  daemon, its re-analyze-on-change loop, a one-request client, and the
+  telemetry-journal rollup;
 * ``fleet``           — resumable corpus sweeps across N daemon
   processes (``corpus``/``plan``/``sweep``/``fuzz`` subcommands);
 * ``nonblocking FILE``— the §6 extension (send-on-closed / double-close);
@@ -23,10 +27,14 @@ Commands mirror the paper's tooling:
 
 ``detect``/``fix``/``stats`` also take the :mod:`repro.resilience` flags:
 ``--strict`` (exit 4 on any incident instead of reporting degraded
-health), ``--max-retries``, ``--retry-timeouts``, and ``--faults``/
-``--fault-seed`` (deterministic fault injection; ``REPRO_FAULTS`` /
-``REPRO_FAULT_SEED`` are the ambient equivalents honoured by every
-command).
+health), ``--max-retries``, and ``--faults``/``--fault-seed``
+(deterministic fault injection; ``REPRO_FAULTS`` / ``REPRO_FAULT_SEED``
+are the ambient equivalents honoured by every command).
+
+``detect``, ``serve`` and ``watch`` share one set of engine flags
+(``--cache-dir``, ``--budget-seconds``, ``--budget-nodes``,
+``--max-retries``, ``--checkers``), turned into one
+:class:`repro.engine.EngineConfig` by :func:`_engine_config`.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ from typing import List, Optional
 
 from repro.api import Project
 from repro.detector.nonblocking import detect_nonblocking
+from repro.engine import EngineConfig, ResultCache
 from repro.obs import Collector, json_dumps, render_stats
 
 #: dedicated exit code for ``--fail-on-timeout``: the analysis was
@@ -74,42 +83,59 @@ def _activate_faults(args) -> bool:
     return False
 
 
-def _health_exit(health: str, incidents, strict: bool) -> Optional[int]:
-    """The resilience exit-code policy, shared by detect/fix/stats."""
-    if strict and incidents:
-        return EXIT_INCIDENT
-    if health == "failed":
-        return EXIT_INCIDENT
-    return None
+def exit_code_for(
+    reports: int,
+    timed_out: bool,
+    health: str,
+    incidents: int,
+    strict: bool = False,
+    fail_on_timeout: bool = False,
+) -> int:
+    """The one exit-code policy of detect/fix/stats and the daemon:
+    1 for findings, 3 for exhausted budgets (opt-in), 4 for resilience
+    failures (always on ``failed`` health, any incident under strict)."""
+    code = 1 if reports else 0
+    if fail_on_timeout and timed_out:
+        code = EXIT_TIMEOUT
+    if (strict and incidents) or health == "failed":
+        code = EXIT_INCIDENT
+    return code
+
+
+def _engine_config(args: argparse.Namespace) -> EngineConfig:
+    """The engine flags detect, serve and watch share, as one config.
+
+    Without ``--cache-dir`` detect runs uncached, and a daemon keeps its
+    memory-only cache.
+    """
+    return EngineConfig(
+        cache=ResultCache(args.cache_dir) if args.cache_dir else None,
+        budget_wall_seconds=args.budget_seconds,
+        budget_solver_nodes=args.budget_nodes,
+        checkers=args.checkers,
+        max_retries=args.max_retries,
+    )
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
     want_obs = args.trace or args.trace_out
     collector = Collector(args.file) if want_obs else None
-    cache = None
-    if args.cache_dir:
-        from repro.engine import ResultCache
-
-        cache = ResultCache(args.cache_dir)
     project = _load(args.file, collector=collector)
-    result = project.detect(
-        disentangle=not args.no_disentangle,
-        cache=cache,
-        budget_wall_seconds=args.budget_seconds,
-        budget_solver_nodes=args.budget_nodes,
-        max_retries=args.max_retries,
-        retry_timeouts=args.retry_timeouts,
-        checkers=args.checkers,
-    )
+    config = _engine_config(args)
+    # the §5.2 whole-program ablation is a detect-only flag
+    config.disentangle = not args.no_disentangle
+    result = project.detect(config)
     reports = result.all_reports()
     timed_out = result.has_timeouts()
     health = result.health()
-    exit_code = 1 if reports else 0
-    if args.fail_on_timeout and timed_out:
-        exit_code = EXIT_TIMEOUT
-    incident_exit = _health_exit(health, result.incidents, args.strict)
-    if incident_exit is not None:
-        exit_code = incident_exit
+    exit_code = exit_code_for(
+        len(reports),
+        timed_out,
+        health,
+        len(result.incidents),
+        strict=args.strict,
+        fail_on_timeout=args.fail_on_timeout,
+    )
     if args.trace_out and collector is not None:
         from repro.obs import write_trace
 
@@ -164,10 +190,7 @@ def _timeout_summary(result) -> str:
 def cmd_fix(args: argparse.Namespace) -> int:
     collector = Collector(args.file) if args.trace else None
     project = _load(args.file, collector=collector)
-    result = project.detect(
-        max_retries=args.max_retries,
-        retry_timeouts=args.retry_timeouts,
-    )
+    result = project.detect(EngineConfig(max_retries=args.max_retries))
     bugs = result.bmoc.bmoc_channel_bugs()
     if not bugs:
         print("no channel-only BMOC bugs to fix")
@@ -175,8 +198,9 @@ def cmd_fix(args: argparse.Namespace) -> int:
             from repro.report.table import render_health
 
             print(render_health(result.health(), result.incidents))
-        exit_code = _health_exit(result.health(), result.incidents, args.strict)
-        return exit_code if exit_code is not None else 0
+        return exit_code_for(
+            0, False, result.health(), len(result.incidents), strict=args.strict
+        )
     summary = project.fix_all(bugs)
     for fix in summary.results:
         print(f"-- {fix.report.description}")
@@ -202,8 +226,7 @@ def cmd_fix(args: argparse.Namespace) -> int:
         with open(args.file, "w") as handle:
             handle.write(patched)
         print(f"wrote patched source to {args.file}")
-    exit_code = _health_exit(result.health(), incidents, args.strict)
-    return exit_code if exit_code is not None else 0
+    return exit_code_for(0, False, result.health(), len(incidents), strict=args.strict)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -362,10 +385,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     """Full pipeline (detect → fix → explore) under one Collector."""
     collector = Collector(args.file)
     project = _load(args.file, collector=collector)
-    result = project.detect(
-        max_retries=args.max_retries,
-        retry_timeouts=args.retry_timeouts,
-    )
+    result = project.detect(EngineConfig(max_retries=args.max_retries))
     reports = result.all_reports()
     summary = project.fix_all(result.bmoc.bmoc_channel_bugs())
     exploration = project.explore(
@@ -373,9 +393,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     )
     incidents = list(result.incidents) + summary.incidents()
     health = result.health()
-    exit_code = _health_exit(health, incidents, args.strict)
-    if exit_code is None:
-        exit_code = 0
+    exit_code = exit_code_for(0, False, health, len(incidents), strict=args.strict)
     if args.trace_out:
         from repro.obs import write_trace
 
@@ -422,18 +440,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return exit_code
 
 
-def _service_kwargs(args: argparse.Namespace) -> dict:
-    """The engine/resilience knobs shared by serve and watch."""
-    return dict(
-        cache_dir=args.cache_dir,
-        budget_wall_seconds=args.budget_seconds,
-        budget_solver_nodes=args.budget_nodes,
-        max_retries=args.max_retries,
-        retry_timeouts=args.retry_timeouts,
-        checkers=args.checkers,
-    )
-
-
 def _journal_path(args: argparse.Namespace) -> Optional[str]:
     """The telemetry journal path: --journal flag, else REPRO_JOURNAL."""
     import os
@@ -449,6 +455,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     try:
         service = AnalysisService(
             args.path,
+            config=_engine_config(args),
             journal_path=_journal_path(args),
             journal_max_bytes=args.journal_max_bytes,
             journal_max_files=args.journal_max_files,
@@ -458,7 +465,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             tenant_max_queue=args.tenant_max_queue,
             quota=args.quota,
             quota_burst=args.quota_burst,
-            **_service_kwargs(args),
         ).start()
     except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot load project {args.path}: {exc}", file=sys.stderr)
@@ -484,7 +490,7 @@ def cmd_watch(args: argparse.Namespace) -> int:
             args.path,
             interval=args.interval,
             max_cycles=args.cycles,
-            **_service_kwargs(args),
+            config=_engine_config(args),
         )
     except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot load project {args.path}: {exc}", file=sys.stderr)
@@ -716,18 +722,34 @@ def _int_at_least(minimum: int):
 _POSITIVE = _int_at_least(1)
 
 
+def _add_max_retries(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--max-retries", type=_int_at_least(0), default=None,
+                   help="bound transient-failure retries per analysis unit "
+                        "(default: REPRO_MAX_RETRIES, else 1)")
+
+
+def _add_engine_args(p: argparse.ArgumentParser) -> None:
+    """The engine flags detect, serve and watch share (see _engine_config)."""
+    p.add_argument("--cache-dir", default=None,
+                   help="persist per-primitive results under this directory; "
+                        "warm re-runs skip unchanged primitives (default: "
+                        "detect runs uncached, a daemon caches in memory)")
+    p.add_argument("--budget-seconds", type=float, default=None,
+                   help="per-primitive wall-clock budget (TIMEOUT on exhaustion)")
+    p.add_argument("--budget-nodes", type=int, default=None,
+                   help="per-primitive solver-node budget (TIMEOUT on exhaustion)")
+    p.add_argument("--checkers", nargs="*", default=None,
+                   help="restrict the traditional checkers to this subset "
+                        "(default: REPRO_CHECKERS, else all)")
+    _add_max_retries(p)
+
+
 def _add_resilience_args(p: argparse.ArgumentParser) -> None:
     """The resilience flags shared by detect/fix/stats."""
     p.add_argument("--strict", action="store_true",
                    help=f"exit with code {EXIT_INCIDENT} when any analysis "
                         "unit crashed (default: report degraded health and "
                         "keep the surviving results)")
-    p.add_argument("--max-retries", type=int, default=None,
-                   help="bound transient-failure retries per unit "
-                        "(default: REPRO_MAX_RETRIES, else 1)")
-    p.add_argument("--retry-timeouts", action="store_true",
-                   help="retry a solver-timeout shard once with a quartered "
-                        "node budget")
     p.add_argument("--faults", default=None, metavar="SPEC",
                    help="deterministic fault-injection plan, e.g. "
                         "'solve:raise' or 'cache-read@leakOne:corrupt' "
@@ -749,20 +771,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-disentangle", action="store_true", help="whole-program ablation mode")
     p.add_argument("--trace", action="store_true",
                    help="append the per-stage observability table")
-    p.add_argument("--cache-dir", default=None,
-                   help="persist per-primitive results under this directory; "
-                        "warm re-runs skip unchanged primitives")
-    p.add_argument("--budget-seconds", type=float, default=None,
-                   help="per-primitive wall-clock budget (TIMEOUT on exhaustion)")
-    p.add_argument("--budget-nodes", type=int, default=None,
-                   help="per-primitive solver-node budget (TIMEOUT on exhaustion)")
     p.add_argument("--fail-on-timeout", action="store_true",
                    help=f"exit with code {EXIT_TIMEOUT} when any budget ran out")
-    p.add_argument("--checkers", nargs="*", default=None,
-                   help="restrict the traditional checkers to this subset "
-                        "(default: REPRO_CHECKERS, else all)")
     p.add_argument("--trace-out", default=None, metavar="PATH",
                    help="dump the run's span tree as OTLP-style JSON")
+    _add_engine_args(p)
     _add_resilience_args(p)
     p.set_defaults(func=cmd_detect)
 
@@ -771,6 +784,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--write", action="store_true", help="apply a single patch in place")
     p.add_argument("--trace", action="store_true",
                    help="append the per-stage observability table")
+    _add_max_retries(p)
     _add_resilience_args(p)
     p.set_defaults(func=cmd_fix)
 
@@ -816,9 +830,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-run interpreter step bound")
     p.add_argument("--total-steps", type=_POSITIVE, default=120_000,
                    help="deterministic cross-run step budget per program")
-    p.add_argument("--max-retries", type=int, default=None,
-                   help="transient-failure retries per program "
-                        "(default: REPRO_MAX_RETRIES, else 1)")
+    _add_max_retries(p)
     p.add_argument("--only", type=int, default=None, metavar="INDEX",
                    help="replay a single program of the campaign by index")
     p.add_argument("--minimize", action="store_true",
@@ -842,24 +854,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit Prometheus text exposition instead of the table")
     p.add_argument("--trace-out", default=None, metavar="PATH",
                    help="dump the run's span tree as OTLP-style JSON")
+    _add_max_retries(p)
     _add_resilience_args(p)
     p.set_defaults(func=cmd_stats)
-
-    def _add_service_args(p: argparse.ArgumentParser) -> None:
-        """Engine knobs shared by serve and watch (daemon-lifetime)."""
-        p.add_argument("--cache-dir", default=None,
-                       help="persist the shard cache under this directory "
-                            "(default: memory-only, warm for the daemon's life)")
-        p.add_argument("--budget-seconds", type=float, default=None,
-                       help="per-primitive wall-clock budget")
-        p.add_argument("--budget-nodes", type=int, default=None,
-                       help="per-primitive solver-node budget")
-        p.add_argument("--max-retries", type=int, default=None,
-                       help="transient-failure retries (default: REPRO_MAX_RETRIES)")
-        p.add_argument("--retry-timeouts", action="store_true",
-                       help="retry TIMEOUT shards once with a quartered budget")
-        p.add_argument("--checkers", nargs="*", default=None,
-                       help="restrict the traditional checkers")
 
     p = sub.add_parser(
         "serve",
@@ -882,7 +879,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slow-threshold", type=float, default=5.0,
                    help="requests slower than this many seconds capture a "
                         "full span-tree exemplar (default: 5.0)")
-    p.add_argument("--workers", type=int, default=2,
+    p.add_argument("--workers", type=_POSITIVE, default=2,
                    help="analysis worker pool size; tenants run "
                         "concurrently, one tenant's requests never do "
                         "(default: 2)")
@@ -898,7 +895,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: no quota)")
     p.add_argument("--quota-burst", type=float, default=None,
                    help="token-bucket size (default: max(quota, 1))")
-    _add_service_args(p)
+    _add_engine_args(p)
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("watch", help="re-analyze on change, print deltas")
@@ -907,7 +904,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="poll interval in seconds (content-hash watcher)")
     p.add_argument("--cycles", type=int, default=None,
                    help="stop after N polls (default: run until interrupted)")
-    _add_service_args(p)
+    _add_engine_args(p)
     p.set_defaults(func=cmd_watch)
 
     p = sub.add_parser("top", help="render telemetry-journal aggregates")
@@ -960,7 +957,7 @@ def build_parser() -> argparse.ArgumentParser:
     fp.set_defaults(func=cmd_fleet)
 
     def _add_fleet_sweep_args(fp):
-        fp.add_argument("--daemons", type=int, default=1,
+        fp.add_argument("--daemons", type=_POSITIVE, default=1,
                         help="daemon count (default: 1)")
         fp.add_argument("--mode", choices=["thread", "process"], default="process",
                         help="daemon backend: separate processes (default) or "
@@ -969,7 +966,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="resumable JSONL checkpoint; re-running with the "
                              "same manifest skips completed units whose "
                              "fingerprints still match")
-        fp.add_argument("--workers", type=int, default=1,
+        fp.add_argument("--workers", type=_POSITIVE, default=1,
                         help="scheduler workers per daemon (default: 1)")
         fp.add_argument("--serial", action="store_true",
                         help="run the serial in-process reference sweep "

@@ -57,8 +57,9 @@ class AnalysisBudget:
 
     ``wall_seconds`` caps one primitive's total analysis wall-clock time;
     ``solver_nodes`` caps the total decision-procedure nodes it may spend
-    across all its solver calls; ``max_nodes_per_solve`` caps any single
-    call (defaults to the solver's own :data:`~repro.constraints.solver.MAX_NODES`).
+    across all its solver calls (a single call is capped by the rest of
+    that total, else by the solver's own
+    :data:`~repro.constraints.solver.MAX_NODES`).
     The budget is consulted between combinations and before every solve,
     so exceeding it degrades gracefully: reports found so far are kept and
     the primitive is marked TIMEOUT.
@@ -68,11 +69,9 @@ class AnalysisBudget:
         self,
         wall_seconds: Optional[float] = None,
         solver_nodes: Optional[int] = None,
-        max_nodes_per_solve: Optional[int] = None,
     ):
         self.wall_seconds = wall_seconds
         self.solver_nodes = solver_nodes
-        self.max_nodes_per_solve = max_nodes_per_solve
         self.deadline = (
             time.perf_counter() + wall_seconds if wall_seconds is not None else None
         )
@@ -85,11 +84,7 @@ class AnalysisBudget:
             raise BudgetExceeded("solver-node budget exhausted")
 
     def per_solve_nodes(self) -> Optional[int]:
-        if self.nodes_left is None:
-            return self.max_nodes_per_solve
-        if self.max_nodes_per_solve is None:
-            return self.nodes_left
-        return min(self.nodes_left, self.max_nodes_per_solve)
+        return self.nodes_left
 
     def charge(self, nodes: int) -> None:
         if self.nodes_left is not None:

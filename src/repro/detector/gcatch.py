@@ -12,7 +12,6 @@ whole bug set.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -82,31 +81,6 @@ class GCatchResult:
         return len(self.by_category().get(category, []))
 
 
-def resolve_max_retries(max_retries: Optional[int] = None) -> int:
-    """Explicit ``max_retries`` beats ``REPRO_MAX_RETRIES`` beats 1."""
-    if max_retries is not None:
-        return max(0, max_retries)
-    try:
-        return max(0, int(os.environ.get("REPRO_MAX_RETRIES", "") or 1))
-    except ValueError:
-        return 1
-
-
-def resolve_checkers(checkers=None) -> Optional[List[str]]:
-    """Explicit ``checkers`` beats ``REPRO_CHECKERS`` beats all (None).
-
-    Names are *not* validated here: an unknown name flows into its own
-    analysis unit, crashes against the valid-set error message and
-    surfaces as an incident — a typo degrades the run, never aborts it.
-    """
-    if checkers is not None:
-        return list(checkers)
-    env = os.environ.get("REPRO_CHECKERS")
-    if not env:
-        return None
-    return [name.strip() for name in env.split(",") if name.strip()]
-
-
 def run_gcatch(
     program: ir.Program,
     disentangle: bool = True,
@@ -115,7 +89,6 @@ def run_gcatch(
     budget_wall_seconds: Optional[float] = None,
     budget_solver_nodes: Optional[int] = None,
     max_retries: Optional[int] = None,
-    retry_timeouts: bool = False,
     checkers=None,
 ) -> GCatchResult:
     """Run the complete GCatch pipeline over a lowered program.
@@ -140,8 +113,7 @@ def run_gcatch(
         budget_wall_seconds=budget_wall_seconds,
         budget_solver_nodes=budget_solver_nodes,
         disentangle=disentangle,
-        checkers=resolve_checkers(checkers),
-        max_retries=resolve_max_retries(max_retries),
-        retry_timeouts=retry_timeouts,
+        checkers=checkers,
+        max_retries=max_retries,
     )
     return run_engine(program, config=config, collector=collector)

@@ -13,6 +13,8 @@ from repro.engine.engine import (
     DetectionEngine,
     EngineConfig,
     ShardInfo,
+    resolve_checkers,
+    resolve_max_retries,
     run_engine,
 )
 from repro.engine.fingerprint import (
@@ -44,6 +46,8 @@ __all__ = [
     "channel_fingerprint",
     "diff_fingerprints",
     "function_digest",
+    "resolve_checkers",
+    "resolve_max_retries",
     "run_engine",
     "shard_fingerprints",
     "shard_key",

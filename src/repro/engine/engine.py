@@ -34,13 +34,15 @@ runs behind an exception firewall — a crash anywhere inside one shard
 (path enumeration, encoding, the solver, a traditional checker, an
 injected fault) degrades into a structured ``Incident`` and a ``failed``
 shard record; every *other* shard's reports are kept. Transient failures
-(cache I/O, injected transient faults) retry up to ``max_retries`` times,
-and a shard whose budget timed out can optionally retry once with a
-smaller per-solve node cap (``retry_timeouts``).
+(cache I/O, injected transient faults) retry up to ``max_retries`` times.
+The incident ledger lists the cache-probe incidents first, then the
+shard and cache-write incidents in shard order, because that is the
+order the one loop meets them in.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
@@ -56,13 +58,43 @@ from repro.engine.fingerprint import (
 )
 from repro.obs import NULL, STAGE_ENGINE_SHARD, STAGE_FINGERPRINT, Collector, Span
 from repro.resilience.firewall import Firewall, RetryPolicy
-from repro.resilience.incidents import Incident
 from repro.ssa import ir
+
+
+def resolve_max_retries(max_retries: Optional[int] = None) -> int:
+    """Explicit ``max_retries`` beats ``REPRO_MAX_RETRIES`` beats 1."""
+    if max_retries is not None:
+        return max(0, max_retries)
+    try:
+        return max(0, int(os.environ.get("REPRO_MAX_RETRIES", "") or 1))
+    except ValueError:
+        return 1
+
+
+def resolve_checkers(checkers=None) -> Optional[List[str]]:
+    """Explicit ``checkers`` beats ``REPRO_CHECKERS`` beats all (None).
+
+    Names are *not* validated here: an unknown name flows into its own
+    analysis unit, crashes against the valid-set error message and
+    surfaces as an incident — a typo degrades the run, never aborts it.
+    """
+    if checkers is not None:
+        return list(checkers)
+    env = os.environ.get("REPRO_CHECKERS")
+    if not env:
+        return None
+    return [name.strip() for name in env.split(",") if name.strip()]
 
 
 @dataclass
 class EngineConfig:
-    """Knobs of one engine run; the defaults are plain ``run_gcatch``."""
+    """The options of one engine run, declared once for every caller
+    (``run_gcatch``, ``Project.detect``, the daemon, the CLI).
+
+    ``max_retries`` and ``checkers`` left unset take their
+    ``REPRO_MAX_RETRIES`` / ``REPRO_CHECKERS`` defaults here, at
+    construction, and nowhere else.
+    """
 
     cache: Optional[ResultCache] = None
     budget_wall_seconds: Optional[float] = None  # per primitive
@@ -70,8 +102,11 @@ class EngineConfig:
     disentangle: bool = True
     # resilience knobs (repro.resilience)
     checkers: Optional[Sequence[str]] = None  # None = all TRADITIONAL_CHECKERS
-    max_retries: int = 1  # bounded retries for transient failures
-    retry_timeouts: bool = False  # retry TIMEOUT shards once, smaller budget
+    max_retries: Optional[int] = None  # bounded retries for transient failures
+
+    def __post_init__(self) -> None:
+        self.max_retries = resolve_max_retries(self.max_retries)
+        self.checkers = resolve_checkers(self.checkers)
 
 
 @dataclass
@@ -96,7 +131,6 @@ class _ShardOutcome:
     #: retried or failed attempt's spans and counters are dropped whole
     collector: Optional[Collector] = None
     failed: bool = False
-    incident: Optional[Incident] = None
 
 
 class DetectionEngine:
@@ -130,9 +164,7 @@ class DetectionEngine:
             solver_nodes=cfg.budget_solver_nodes,
         )
 
-    def _execute_shard(
-        self, index: int, budget: Optional[AnalysisBudget] = None
-    ) -> _ShardOutcome:
+    def _execute_shard(self, index: int) -> _ShardOutcome:
         info = self._shards[index]
         child = Collector(f"shard:{info.label}") if self.collector else None
         start = time.perf_counter()
@@ -143,7 +175,7 @@ class DetectionEngine:
                 channel = self._channels[index]
                 stats.channels_analyzed = 1
                 reports, timed_out = detector.analyze_channel(
-                    channel, stats, budget or self._make_budget()
+                    channel, stats, self._make_budget()
                 )
             else:
                 reports = run_checker(info.label, self.program, self.detector)
@@ -160,60 +192,23 @@ class DetectionEngine:
         )
 
     def _execute_guarded(self, index: int) -> _ShardOutcome:
-        """One shard behind the firewall: a crash becomes a failed outcome
-        carrying its incident; the incident is *recorded* by the
-        reassembly loop, not here, so the ledger interleaves shard and
-        cache-write incidents in shard order."""
-        info = self._shards[index]
+        """One shard behind the firewall: a crash is recorded as an
+        incident and becomes a failed outcome."""
         start = time.perf_counter()
         guarded = self.firewall.call(
             lambda: self._execute_shard(index),
             site="shard",
-            label=info.label,
-            record=False,
+            label=self._shards[index].label,
         )
         if guarded.ok:
-            outcome = guarded.value
-            if outcome.timed_out and self.config.retry_timeouts:
-                outcome = self._retry_with_smaller_budget(index, outcome)
-            return outcome
+            return guarded.value
         return _ShardOutcome(
             reports=[],
             stats=DetectionStats(),
             seconds=time.perf_counter() - start,
             timed_out=False,
             failed=True,
-            incident=guarded.incident,
         )
-
-    def _retry_with_smaller_budget(
-        self, index: int, first: _ShardOutcome
-    ) -> _ShardOutcome:
-        """The solver-timeout transient path: one re-run with a per-solve
-        node cap a quarter of the original, so every solve gives up early
-        and the combination sweep itself can complete inside the budget."""
-        from repro.constraints.solver import MAX_NODES
-
-        if self._shards[index].kind != "bmoc":
-            return first
-        budget = AnalysisBudget(
-            wall_seconds=self.config.budget_wall_seconds,
-            solver_nodes=self.config.budget_solver_nodes,
-            max_nodes_per_solve=MAX_NODES // 4,
-        )
-        if self.collector:
-            self.collector.count("resilience.retry")
-        guarded = self.firewall.call(
-            lambda: self._execute_shard(index, budget=budget),
-            site="shard",
-            label=self._shards[index].label,
-            record=False,
-        )
-        if guarded.ok and not guarded.value.timed_out:
-            return guarded.value
-        if self.collector:
-            self.collector.count("resilience.gave-up")
-        return first
 
     # -- orchestration -----------------------------------------------------
 
@@ -247,8 +242,6 @@ class DetectionEngine:
                 info.reports = len(outcome.reports)
                 if outcome.failed:
                     info.outcome = "failed"
-                    if outcome.incident is not None:
-                        self.firewall.record(outcome.incident)
                     continue
                 if outcome.timed_out:
                     info.outcome = "timeout"

@@ -11,12 +11,13 @@ Per-attempt failure handling, in order of escalation:
   ``retry_after`` hint (bounded waits, then the unit counts a dispatch
   attempt and re-enters the queue);
 * a crashed request (``REQUEST_FAILED``) or in-queue deadline is retried
-  up to ``max_attempts`` times, then recorded as a failed unit;
+  until the unit has made ``MAX_ATTEMPTS`` dispatch attempts, then
+  recorded as a failed unit;
 * a dead or *stalled* daemon — connection refused, connection lost, or a
   unit exceeding ``straggler_timeout`` with no response — is killed and
-  restarted through the supervisor's bounded policy, and the unit is
-  re-dispatched (straggler re-dispatch and crash recovery are the same
-  code path: the attempt is abandoned, the unit re-queued).
+  restarted at once (the supervisor bounds the spawn retries), and the
+  unit is re-dispatched (straggler re-dispatch and crash recovery are the
+  same code path: the attempt is abandoned, the unit re-queued).
 
 Completed units append to the :class:`~repro.fleet.manifest.SweepManifest`
 *before* the supervisor checkpoint fires, so a sweep killed at a
@@ -42,7 +43,6 @@ from repro.fleet.report import (
     outcome_from_fuzz,
 )
 from repro.fleet.supervisor import FleetSupervisor, SupervisorError
-from repro.obs import Collector
 from repro.obs.journal import TelemetryJournal, request_record
 from repro.resilience.faultinject import FaultInjected, maybe_fault
 from repro.service.client import ServiceConnectionError, ServiceRequestError
@@ -58,6 +58,9 @@ MAX_RETRY_AFTER = 2.0
 
 #: backpressure retries per dispatch attempt before the attempt fails
 MAX_SHED_RETRIES = 8
+
+#: dispatch attempts per unit before it is recorded as failed
+MAX_ATTEMPTS = 3
 
 
 class SweepKilled(RuntimeError):
@@ -94,27 +97,14 @@ class FleetResult:
         return len(self.outcomes) == len(self.plan.units)
 
 
-def _detect_params(options: dict) -> dict:
-    params = {}
-    for key in ("strict", "fail_on_timeout"):
-        if options.get(key):
-            params[key] = True
-    return params
-
-
 def run_sweep(
     plan: SweepPlan,
     daemons: int = 1,
     mode: str = "thread",
     manifest_path: Optional[str] = None,
-    service_options: Optional[dict] = None,
     workers: int = 1,
-    max_queue: Optional[int] = None,
-    tenant_max_queue: Optional[int] = None,
     deadline_seconds: Optional[float] = None,
     straggler_timeout: Optional[float] = None,
-    max_attempts: int = 3,
-    collector: Optional[Collector] = None,
     journal_path: Optional[str] = None,
     supervisor: Optional[FleetSupervisor] = None,
 ) -> FleetResult:
@@ -126,7 +116,6 @@ def run_sweep(
     """
     if not plan.units:
         raise ValueError("empty sweep plan")
-    obs = collector
     manifest = SweepManifest(manifest_path) if manifest_path else None
     journal = TelemetryJournal(journal_path) if journal_path else None
     result = FleetResult(plan=plan)
@@ -139,8 +128,6 @@ def run_sweep(
         if reusable is not None:
             result.outcomes[unit.uid] = reusable
             result.metas[unit.uid] = {"skipped": True}
-            if obs:
-                obs.count("fleet.units.skipped")
         else:
             pending.append(unit)
 
@@ -148,14 +135,7 @@ def run_sweep(
     if own_supervisor:
         seed_path = plan.units[0].path or _fuzz_seed_path(manifest_path)
         supervisor = FleetSupervisor(
-            daemons,
-            seed_path,
-            mode=mode,
-            service_options=service_options,
-            workers=workers,
-            max_queue=max_queue,
-            tenant_max_queue=tenant_max_queue,
-            collector=obs,
+            daemons, seed_path, mode=mode, workers=workers
         ).start()
     assert supervisor is not None
 
@@ -172,7 +152,7 @@ def run_sweep(
     def requeue(unit: WorkUnit, reason: str) -> None:
         with lock:
             attempts[unit.uid] = attempts.get(unit.uid, 0) + 1
-            if attempts[unit.uid] >= max_attempts:
+            if attempts[unit.uid] >= MAX_ATTEMPTS:
                 result.failed[unit.uid] = reason
                 if manifest:
                     manifest.record_unit(
@@ -199,8 +179,6 @@ def run_sweep(
                 # dead daemon, stalled unit (socket timeout), or chaos:
                 # same recovery — fresh daemon, unit back on the queue
                 result.incidents.append(f"{unit.uid} on {name}: {exc}")
-                if obs:
-                    obs.count("fleet.daemon-failures")
                 try:
                     supervisor.kill(name)
                     supervisor.restart(name, reason=str(exc))
@@ -244,8 +222,6 @@ def run_sweep(
                     unit.uid, unit.fingerprint, ok=True, outcome=outcome, meta=meta
                 )
             _journal_unit(journal, unit, name, "ok", elapsed, outcome)
-            if obs:
-                obs.count("fleet.units.completed")
             try:
                 supervisor.checkpoint(unit.uid)
             except FaultInjected as exc:
@@ -266,7 +242,7 @@ def run_sweep(
                         "register", {"tenant": unit.uid, "path": unit.path}
                     )
                     sup.mark_registered(name, unit.uid)
-                params = dict(detect_params)
+                params = {}
                 if deadline_seconds is not None:
                     params["deadline_seconds"] = deadline_seconds
                 response = client.call("detect", params, tenant=unit.uid)
@@ -279,8 +255,6 @@ def run_sweep(
                 error = response["error"]
                 if error.get("code") in (OVERLOADED, QUOTA_EXCEEDED):
                     sheds += 1
-                    if obs:
-                        obs.count("fleet.backpressure")
                     if sheds > MAX_SHED_RETRIES:
                         return response, sheds
                     wait = float(error.get("retry_after") or 0.05)
@@ -290,7 +264,6 @@ def run_sweep(
                     return response, sheds
             return response, sheds
 
-    detect_params = _detect_params(service_options or {})
     if straggler_timeout is not None:
         supervisor.request_timeout = straggler_timeout
 
@@ -360,11 +333,7 @@ def _fuzz_seed_path(manifest_path: Optional[str]) -> str:
 # the serial reference
 
 
-def serial_sweep(
-    plan: SweepPlan,
-    service_options: Optional[dict] = None,
-    collector: Optional[Collector] = None,
-) -> FleetResult:
+def serial_sweep(plan: SweepPlan) -> FleetResult:
     """The one-shot reference: every unit, in plan order, in-process.
 
     Project units run through a real :class:`AnalysisService` (same
@@ -376,23 +345,19 @@ def serial_sweep(
 
     if not plan.units:
         raise ValueError("empty sweep plan")
-    options = dict(service_options or {})
-    detect_params = _detect_params(options)
-    options.pop("strict", None)
-    options.pop("fail_on_timeout", None)
     result = FleetResult(plan=plan)
     started = time.perf_counter()
     service = None
     project_units = [u for u in plan.units if u.kind == "project"]
     if project_units:
-        service = AnalysisService(project_units[0].path, **options).start()
+        service = AnalysisService(project_units[0].path).start()
     try:
         for unit in plan.units:
             unit_started = time.perf_counter()
             if unit.kind == "project":
                 assert service is not None
                 service.call("register", {"tenant": unit.uid, "path": unit.path})
-                response = service.call("detect", detect_params, tenant=unit.uid)
+                response = service.call("detect", tenant=unit.uid)
                 if is_error(response):
                     error = response["error"]
                     result.failed[unit.uid] = (
@@ -403,9 +368,7 @@ def serial_sweep(
             else:
                 from repro.fuzz.campaign import run_campaign
 
-                report = run_campaign(
-                    unit.seed, unit.count, start=unit.start, collector=collector
-                )
+                report = run_campaign(unit.seed, unit.count, start=unit.start)
                 outcome = outcome_from_fuzz(
                     {
                         "triages": [t.to_dict() for t in report.triages],

@@ -12,12 +12,12 @@ Two daemon backends behind one handle interface:
   line the CI smoke job parses). Used by the CLI and the fleet-smoke CI
   job; a killed child is detected by its dead socket and restarted.
 
-Restart policy is :class:`repro.resilience.firewall.RetryPolicy`'s
-bounded deterministic backoff. Every spawn (first or restart) passes the
-``fleet-supervisor`` fault site, so chaos plans can starve a daemon of
-restarts or kill the whole sweep at a deterministic point; restarts are
-also counted and surfaced as supervisor incidents when the budget runs
-out.
+Restarts are immediate: a failed spawn is retried at once, up to
+``SPAWN_RETRIES`` times, with no sleep in between. Every spawn (first or
+restart) passes the ``fleet-supervisor`` fault site, so chaos plans can
+starve a daemon of restarts or kill the whole sweep at a deterministic
+point; restarts are counted, and a daemon that exhausts its spawn
+retries is surfaced as a supervisor incident.
 """
 
 from __future__ import annotations
@@ -26,16 +26,20 @@ import os
 import subprocess
 import sys
 import threading
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.resilience.faultinject import maybe_fault
-from repro.resilience.firewall import RetryPolicy
 from repro.service.client import ServiceClient, ServiceConnectionError
 
 #: banner printed by ``repro serve --port`` — the port source of truth
 _BANNER = "repro-serve listening on "
+
+#: immediate re-spawns after a daemon's first failed spawn, per (re)start
+SPAWN_RETRIES = 2
+
+#: seconds a client keeps retrying the TCP connect to a fresh daemon
+CONNECT_TIMEOUT = 10.0
 
 
 class SupervisorError(RuntimeError):
@@ -76,14 +80,7 @@ class FleetSupervisor:
         count: int,
         seed_path: str,
         mode: str = "thread",
-        service_options: Optional[dict] = None,
         workers: int = 1,
-        max_queue: Optional[int] = None,
-        tenant_max_queue: Optional[int] = None,
-        restart_policy: Optional[RetryPolicy] = None,
-        connect_timeout: float = 10.0,
-        collector=None,
-        _sleep=time.sleep,
     ):
         if count <= 0:
             raise ValueError("daemon count must be positive")
@@ -92,20 +89,11 @@ class FleetSupervisor:
         self.count = count
         self.seed_path = seed_path
         self.mode = mode
-        self.service_options = dict(service_options or {})
         self.workers = workers
-        self.max_queue = max_queue
-        self.tenant_max_queue = tenant_max_queue
-        self.restart_policy = restart_policy or RetryPolicy(
-            max_retries=2, retry_all=True
-        )
-        self.connect_timeout = connect_timeout
         #: per-request socket timeout for driver clients; the driver sets
         #: this to its straggler budget so a stalled unit surfaces as a
         #: ServiceConnectionError and triggers restart + re-dispatch
         self.request_timeout: Optional[float] = None
-        self.collector = collector
-        self._sleep = _sleep
         self.daemons: Dict[str, DaemonHandle] = {}
         self.incidents: List[str] = []
         #: tenants known registered, per daemon (cleared on restart)
@@ -178,7 +166,7 @@ class FleetSupervisor:
                 daemon.host,
                 daemon.port,
                 timeout=self.request_timeout if self.request_timeout else 30.0,
-                connect_timeout=self.connect_timeout,
+                connect_timeout=CONNECT_TIMEOUT,
             )
             self._clients[name] = client
         return client
@@ -192,8 +180,6 @@ class FleetSupervisor:
             client.close()
         self.registered.pop(name, None)
         restarts = daemon.restarts + 1
-        if self.collector:
-            self.collector.count("fleet.restarts")
         fresh = self._spawn_with_retries(name, reason=reason)
         fresh.restarts = restarts
         self.daemons[name] = fresh
@@ -217,7 +203,7 @@ class FleetSupervisor:
                 daemon = self._spawn(name)
                 # liveness probe: the daemon answers before it counts
                 probe = ServiceClient(
-                    daemon.host, daemon.port, connect_timeout=self.connect_timeout
+                    daemon.host, daemon.port, connect_timeout=CONNECT_TIMEOUT
                 )
                 try:
                     probe.result("ping")
@@ -225,7 +211,7 @@ class FleetSupervisor:
                     probe.close()
                 return daemon
             except (ServiceConnectionError, OSError, RuntimeError) as exc:
-                if attempt >= self.restart_policy.retries_for(exc):
+                if attempt >= SPAWN_RETRIES:
                     self.incidents.append(
                         f"daemon {name} failed to start after "
                         f"{attempt + 1} attempt(s): {exc}"
@@ -233,7 +219,6 @@ class FleetSupervisor:
                     raise SupervisorError(
                         f"cannot (re)start daemon {name}: {exc}"
                     ) from exc
-                self._sleep(self.restart_policy.backoff(attempt))
                 attempt += 1
 
     def _spawn(self, name: str) -> DaemonHandle:
@@ -244,13 +229,7 @@ class FleetSupervisor:
     def _spawn_thread(self, name: str) -> DaemonHandle:
         from repro.service.daemon import AnalysisService, serve_tcp
 
-        service = AnalysisService(
-            self.seed_path,
-            workers=self.workers,
-            max_queue=self.max_queue,
-            tenant_max_queue=self.tenant_max_queue,
-            **self.service_options,
-        ).start()
+        service = AnalysisService(self.seed_path, workers=self.workers).start()
         server = serve_tcp(service)
         host, port = server.address
         thread = threading.Thread(
@@ -279,13 +258,6 @@ class FleetSupervisor:
             "--workers",
             str(self.workers),
         ]
-        if self.max_queue is not None:
-            argv += ["--max-queue", str(self.max_queue)]
-        if self.tenant_max_queue is not None:
-            argv += ["--tenant-max-queue", str(self.tenant_max_queue)]
-        cache_dir = self.service_options.get("cache_dir")
-        if cache_dir is not None:
-            argv += ["--cache-dir", str(cache_dir)]
         env = dict(os.environ)
         # chaos plans target the *driver* process; a child daemon
         # inheriting them would double-inject every fleet fault

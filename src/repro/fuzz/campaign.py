@@ -33,7 +33,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.detector.gcatch import resolve_max_retries, run_gcatch
+from repro.detector.gcatch import run_gcatch
 from repro.diffcheck import (
     AGREE_BUG,
     AGREE_CLEAN,
@@ -41,6 +41,7 @@ from repro.diffcheck import (
     aggregate_verdicts,
     classify_oracles,
 )
+from repro.engine import resolve_max_retries
 from repro.fuzz.generator import GeneratedProgram, generate_program
 from repro.obs import NULL
 from repro.resilience.faultinject import maybe_fault

@@ -6,11 +6,10 @@ crash inside it is converted into a structured
 :class:`~repro.resilience.incidents.Incident` instead of propagating —
 completed units are always kept.
 
-Retries are bounded and deterministic: transient failure classes (cache
-I/O, injected-transient faults) are re-attempted up to
-``RetryPolicy.max_retries`` times with a fixed exponential backoff
-schedule (``backoff_base * 2**attempt`` seconds — no jitter, so runs are
-reproducible). Everything else fails fast into an incident.
+Retries are bounded and immediate: transient failure classes (cache
+I/O, injected-transient faults) are re-attempted at once, up to
+``RetryPolicy.max_retries`` times, with no sleep between attempts.
+Everything else fails fast into an incident.
 
 Observability counters: ``resilience.incident`` (one per final failure),
 ``resilience.retry`` (one per re-attempt) and ``resilience.gave-up`` (one
@@ -21,7 +20,6 @@ from __future__ import annotations
 
 import pickle
 import threading
-import time
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional
 
@@ -45,16 +43,11 @@ class RetryPolicy:
     """Bounded, deterministic retry configuration."""
 
     max_retries: int = 1
-    backoff_base: float = 0.0  # seconds; attempt k waits base * 2**k
-    retry_all: bool = False  # retry every exception class, not just transient
 
     def retries_for(self, exc: BaseException) -> int:
-        if self.retry_all or is_transient(exc):
+        if is_transient(exc):
             return max(0, self.max_retries)
         return 0
-
-    def backoff(self, attempt: int) -> float:
-        return self.backoff_base * (2**attempt)
 
 
 @dataclass
@@ -79,30 +72,18 @@ class Firewall:
         self.incidents: List[Incident] = []
         self._lock = threading.Lock()
 
-    def record(self, incident: Incident) -> None:
-        """Admit an incident built by a ``record=False`` call into this
-        run's ledger."""
-        with self._lock:
-            self.incidents.append(incident)
-        if self.collector:
-            self.collector.count("resilience.incident")
-
     def call(
         self,
         fn: Callable[[], Any],
         site: str,
         label: str = "",
         reraise: tuple = (),
-        record: bool = True,
     ) -> Guarded:
         """Run ``fn`` behind the firewall.
 
         ``reraise`` names exception types that must propagate (control-flow
         exceptions like ``BudgetExceeded`` that the caller handles itself).
         ``KeyboardInterrupt``/``SystemExit`` always propagate.
-        ``record=False`` builds the incident without admitting it to the
-        ledger — the engine defers recording to its reassembly loop so
-        incidents land in shard order.
         """
         attempt = 0
         while True:
@@ -115,16 +96,15 @@ class Firewall:
                 if attempt < retries:
                     if self.collector:
                         self.collector.count("resilience.retry")
-                    delay = self.policy.backoff(attempt)
-                    if delay > 0:
-                        time.sleep(delay)
                     attempt += 1
                     continue
                 incident = make_incident(
                     site, label, exc, attempts=attempt + 1, transient=is_transient(exc)
                 )
-                if record:
-                    self.record(incident)
-                if self.collector and attempt > 0:
-                    self.collector.count("resilience.gave-up")
+                with self._lock:
+                    self.incidents.append(incident)
+                if self.collector:
+                    self.collector.count("resilience.incident")
+                    if attempt > 0:
+                        self.collector.count("resilience.gave-up")
                 return Guarded(ok=False, incident=incident)

@@ -46,15 +46,17 @@ admission itself (the ``service-admission`` fault site).
 
 from __future__ import annotations
 
+import dataclasses
 import socket
 import socketserver
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-from repro.detector.gcatch import GCatchResult, resolve_checkers, resolve_max_retries
+from repro.cli import exit_code_for
+from repro.detector.gcatch import GCatchResult
 from repro.detector.reporting import BugReport
 from repro.engine import (
     CacheView,
@@ -104,9 +106,6 @@ from repro.service.protocol import (
 from repro.service.scheduler import FairScheduler
 from repro.service.tenants import TenantRegistry, TenantState
 
-#: daemon exit-code policy == CLI exit-code policy (tested for equality)
-from repro.cli import EXIT_INCIDENT, EXIT_TIMEOUT
-
 __all__ = [
     "AnalysisService",
     "RequestContext",
@@ -129,25 +128,6 @@ _REJECT_OUTCOMES = {
     SHUTTING_DOWN: "shutdown",
     REQUEST_FAILED: "crashed",
 }
-
-
-def exit_code_for(
-    reports: int,
-    timed_out: bool,
-    health: str,
-    incidents: int,
-    strict: bool = False,
-    fail_on_timeout: bool = False,
-) -> int:
-    """The one-shot ``detect`` exit-code policy, shared with the daemon:
-    1 for findings, 3 for exhausted budgets (opt-in), 4 for resilience
-    failures (always on ``failed`` health, any incident under strict)."""
-    code = 1 if reports else 0
-    if fail_on_timeout and timed_out:
-        code = EXIT_TIMEOUT
-    if (strict and incidents) or health == "failed":
-        code = EXIT_INCIDENT
-    return code
 
 
 def report_to_json(report: BugReport) -> dict:
@@ -177,15 +157,7 @@ class AnalysisService:
     def __init__(
         self,
         path: str,
-        cache: Optional[ResultCache] = None,
-        cache_dir: Optional[str] = None,
-        budget_wall_seconds: Optional[float] = None,
-        budget_solver_nodes: Optional[int] = None,
-        max_retries: Optional[int] = None,
-        retry_timeouts: bool = False,
-        checkers: Optional[List[str]] = None,
-        disentangle: bool = True,
-        collector: Optional[Collector] = None,
+        config: Optional[EngineConfig] = None,
         journal_path: Optional[str] = None,
         journal_max_bytes: int = 4_000_000,
         journal_max_files: int = 3,
@@ -196,22 +168,20 @@ class AnalysisService:
         quota: Optional[float] = None,
         quota_burst: Optional[float] = None,
     ):
-        self.collector = collector or Collector(f"serve:{path}")
+        self.collector = Collector(f"serve:{path}")
         #: tenant id -> resident project; 'default' is the daemon's own
         self.tenants = TenantRegistry(path, collector=self.collector)
-        # the warm cache is the point of staying resident — and it is
+        self.config = config or EngineConfig()
+        # the warm cache is the point of staying resident (memory-only
+        # unless the config brings a disk-backed one) — and it is
         # deliberately shared across tenants: fingerprints are
         # content-addressed, so identical code keys identical entries
-        self.cache = cache or ResultCache(cache_dir)
-        self.budget_wall_seconds = budget_wall_seconds
-        self.budget_solver_nodes = budget_solver_nodes
-        self.max_retries = resolve_max_retries(max_retries)
-        self.retry_timeouts = retry_timeouts
-        self.checkers = resolve_checkers(checkers)
-        self.disentangle = disentangle
+        self.cache = self.config.cache
+        if self.cache is None:
+            self.cache = ResultCache()
         self.firewall = Firewall(
             collector=self.collector,
-            policy=RetryPolicy(max_retries=self.max_retries),
+            policy=RetryPolicy(max_retries=self.config.max_retries),
         )
         self.admission = AdmissionController(
             AdmissionConfig(
@@ -614,15 +584,7 @@ class AnalysisService:
         return payload
 
     def _engine_config(self, ctx: RequestContext) -> EngineConfig:
-        return EngineConfig(
-            cache=ctx.cache,
-            budget_wall_seconds=self.budget_wall_seconds,
-            budget_solver_nodes=self.budget_solver_nodes,
-            disentangle=self.disentangle,
-            checkers=self.checkers,
-            max_retries=self.max_retries,
-            retry_timeouts=self.retry_timeouts,
-        )
+        return dataclasses.replace(self.config, cache=ctx.cache)
 
     def _detect(
         self, params: dict, ctx: RequestContext
@@ -878,7 +840,7 @@ class AnalysisService:
             health = "degraded"
         return {
             "health": health,
-            "code": EXIT_INCIDENT if health == "failed" else 0,
+            "code": exit_code_for(0, False, health, 0),
             "last": dict(last) if last is not None else None,
             "incidents": len(self.firewall.incidents),
         }

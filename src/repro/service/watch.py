@@ -15,6 +15,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, List, Optional
 
+from repro.engine import EngineConfig
 from repro.service.daemon import AnalysisService
 from repro.service.project import scan_shas
 
@@ -59,8 +60,7 @@ def run_watch(
     interval: float = 0.5,
     max_cycles: Optional[int] = None,
     out: Callable[[str], None] = print,
-    service: Optional[AnalysisService] = None,
-    **service_kwargs,
+    config: Optional[EngineConfig] = None,
 ) -> int:
     """The ``repro watch`` loop: initial detect, then re-detect on change.
 
@@ -68,7 +68,7 @@ def run_watch(
     until interrupted. Returns the last detect's exit code, so a watch
     that ends while bugs are present exits 1 exactly like ``detect``.
     """
-    service = service or AnalysisService(path, **service_kwargs).start()
+    service = AnalysisService(path, config=config).start()
     watcher = Watcher(path)
     payload = service.call("detect")["result"]
     out(f"watching {path} ({len(payload['reports'])} report(s), "

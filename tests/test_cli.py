@@ -1,8 +1,10 @@
 """Tests for the command-line interface."""
 
+import argparse
+
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.corpus.snippets import FIGURE1
 
 BUGGY = FIGURE1.source
@@ -139,8 +141,10 @@ class TestExploreCommand:
 
 
 class TestBudgetValidation:
-    """A run, step or program budget below one explores nothing; argparse
-    rejects it (exit 2) instead of reporting a vacuous clean result."""
+    """An integer flag below its floor is an argparse usage error (exit 2):
+    a run, step or program budget below one would report a vacuous clean
+    result, a zero daemon count crashed, and a zero worker count or a
+    negative retry count was silently clamped."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -158,10 +162,27 @@ class TestBudgetValidation:
             ["fuzz", "--max-steps", "0"],
             ["fuzz", "--total-steps", "0"],
             ["fuzz", "--count", "0"],
+            ["fleet", "sweep", "FILE", "--daemons", "0"],
+            ["fleet", "fuzz", "--count", "2", "--daemons", "0"],
+            ["fleet", "sweep", "FILE", "--mode", "thread", "--workers", "0"],
+            ["serve", "FILE", "--workers", "0"],
+            ["detect", "FILE", "--max-retries", "-4"],
+            ["fix", "FILE", "--max-retries", "-4"],
+            ["stats", "FILE", "--max-retries", "-4"],
+            ["fuzz", "--count", "1", "--max-retries", "-4"],
+            ["serve", "FILE", "--max-retries", "-4"],
+            ["watch", "FILE", "--cycles", "0", "--max-retries", "-4"],
         ],
         ids=lambda argv: "-".join(a.strip("-") for a in argv if a != "FILE"),
     )
-    def test_budget_below_its_floor_is_a_usage_error(self, argv, buggy_file, capsys):
+    def test_budget_below_its_floor_is_a_usage_error(
+        self, argv, buggy_file, capsys, monkeypatch
+    ):
+        import io
+        import sys as _sys
+
+        # a serve that slipped past argparse would read stdin; give it EOF
+        monkeypatch.setattr(_sys, "stdin", io.StringIO(""))
         argv = [buggy_file if a == "FILE" else a for a in argv]
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
@@ -171,6 +192,77 @@ class TestBudgetValidation:
     def test_zero_preemption_bound_is_accepted(self, clean_file, capsys):
         assert main(["explore", clean_file, "--preemption-bound", "0"]) == 0
         assert "0 leaking" in capsys.readouterr().out
+
+
+def _subcommands(parser: argparse.ArgumentParser) -> dict:
+    [action] = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return action.choices
+
+
+def _every_command():
+    commands = []
+    for name, sub in _subcommands(build_parser()).items():
+        commands.append([name])
+        if name == "fleet":
+            commands.extend([name, fleet] for fleet in _subcommands(sub))
+    return commands
+
+
+#: the engine flags detect, serve and watch share
+ENGINE_FLAGS = {
+    "--cache-dir",
+    "--budget-seconds",
+    "--budget-nodes",
+    "--max-retries",
+    "--checkers",
+}
+
+
+class TestCLISurface:
+    """Walks ``build_parser()``: every command's help renders, a deleted
+    flag stays deleted, and the engine flags are one shared set."""
+
+    @pytest.mark.parametrize("command", _every_command(), ids=" ".join)
+    def test_help_renders(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, "--help"])
+        assert excinfo.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: repro {' '.join(command)}")
+
+    @pytest.mark.parametrize("command", ["detect", "fix", "stats", "serve", "watch"])
+    def test_retry_timeouts_is_rejected(self, command, buggy_file, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([command, buggy_file, "--retry-timeouts"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --retry-timeouts" in capsys.readouterr().err
+
+    def test_detect_serve_and_watch_share_the_engine_flags(self, tmp_path):
+        from repro.cli import _engine_config
+
+        parser = build_parser()
+        commands = _subcommands(parser)
+        options = {
+            name: set(commands[name]._option_string_actions)
+            for name in ("detect", "serve", "watch")
+        }
+        assert (options["serve"] & options["watch"]) - {"-h", "--help"} == ENGINE_FLAGS
+        assert ENGINE_FLAGS <= options["detect"]
+        flags = [
+            "--cache-dir", str(tmp_path), "--budget-seconds", "5",
+            "--budget-nodes", "100", "--max-retries", "2",
+            "--checkers", "double-lock",
+        ]
+        for name in ("detect", "serve", "watch"):
+            config = _engine_config(parser.parse_args([name, "x.go", *flags]))
+            assert (
+                str(config.cache.path),
+                config.budget_wall_seconds,
+                config.budget_solver_nodes,
+                config.max_retries,
+                config.checkers,
+            ) == (str(tmp_path), 5.0, 100, 2, ["double-lock"]), name
 
 
 class TestDiffcheckCommand:

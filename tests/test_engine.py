@@ -141,8 +141,6 @@ class TestBudgets:
         budget.charge(10)
         with pytest.raises(BudgetExceeded):
             budget.check()
-        capped = AnalysisBudget(solver_nodes=100, max_nodes_per_solve=7)
-        assert capped.per_solve_nodes() == 7
 
 
 class TestWarmCache:

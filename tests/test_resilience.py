@@ -238,13 +238,6 @@ class TestFirewall:
             fw.call(lambda: (_ for _ in ()).throw(KeyError("x")), site="s",
                     reraise=(KeyError,))
 
-    def test_record_false_defers_ledger(self):
-        fw = Firewall()
-        guarded = fw.call(lambda: 1 / 0, site="shard", record=False)
-        assert not guarded.ok and not fw.incidents
-        fw.record(guarded.incident)
-        assert fw.incidents == [guarded.incident]
-
     def test_injected_transient_fault_is_retryable(self):
         assert is_transient(FaultInjected("solve", transient=True))
         assert not is_transient(FaultInjected("solve"))
@@ -438,7 +431,7 @@ class TestSerialResilience:
                 build_program("package main\nfunc main() {}\n", "x.go")
 
     def test_max_retries_env(self, monkeypatch):
-        from repro.detector.gcatch import resolve_max_retries
+        from repro.engine import resolve_max_retries
 
         monkeypatch.setenv("REPRO_MAX_RETRIES", "3")
         assert resolve_max_retries() == 3
@@ -453,6 +446,76 @@ class TestSerialResilience:
         assert result.health() == HEALTH_OK
         assert len(result.bmoc.reports) == 2
         assert collector.counters["resilience.retry"] == 1
+
+
+LEAK_FOUR = """
+func leakAlpha() {
+	alpha := make(chan int)
+	go func() {
+		alpha <- 1
+	}()
+}
+
+func leakBravo() {
+	bravo := make(chan int)
+	go func() {
+		bravo <- 2
+	}()
+}
+
+func leakCharlie() {
+	charlie := make(chan int)
+	go func() {
+		charlie <- 3
+	}()
+}
+
+func leakDelta() {
+	delta := make(chan int)
+	go func() {
+		delta <- 4
+	}()
+}
+
+func main() {
+	leakAlpha()
+	leakBravo()
+	leakCharlie()
+	leakDelta()
+}
+"""
+
+
+class TestIncidentLedger:
+    def test_probe_incidents_first_then_shard_order(self, tmp_path):
+        """One disk-cached run: the cache probes run before any shard, so
+        their incidents lead the ledger; shard crashes and cache-write
+        failures follow in shard-index order, whichever kind they are."""
+        from repro.engine import DetectionEngine, ResultCache
+
+        program = build(LEAK_FOUR)
+        plan = DetectionEngine(program).plan()
+        alpha, bravo, charlie, delta = plan[:4]
+        for name, shard in zip(("alpha", "bravo", "charlie", "delta"), plan):
+            assert shard.kind == "bmoc" and name in shard.label
+        faults = ";".join([
+            f"cache-read@{bravo.fingerprint}:raise",
+            "solve@charlie:raise",
+            f"cache-write@{alpha.fingerprint}:raise",
+            f"cache-write@{delta.fingerprint}:raise",
+        ])
+        cache = ResultCache(str(tmp_path / "cache"))
+        with injected(faults):
+            result = run_gcatch(program, cache=cache)
+        assert [(i.site, i.label) for i in result.incidents] == [
+            ("cache-read", bravo.label),
+            ("cache-write", alpha.label),
+            ("solve", charlie.label),
+            ("cache-write", delta.label),
+        ]
+        # the failed probe re-ran bravo; only charlie's reports are lost
+        assert [s.outcome for s in result.shards[:4]] == ["ok", "ok", "failed", "ok"]
+        assert len(result.bmoc.reports) == 3
 
 
 # -- fixer + validation resilience (satellite c) -----------------------------
@@ -535,6 +598,11 @@ class TestCLIPolicy:
         from repro.resilience import active_plan
 
         assert active_plan() is None
+
+    def test_stats_degrades_by_default_and_strict_exits_incident(self, leaky_file):
+        assert main(["stats", leaky_file, "--faults", "solve@alpha:raise"]) == 0
+        assert main(["stats", leaky_file, "--faults", "solve@alpha:raise",
+                     "--strict"]) == EXIT_INCIDENT
 
     def test_stats_json_incidents_block(self, leaky_file, capsys):
         code = main(["stats", leaky_file, "--json",
