@@ -61,12 +61,6 @@ class AliasAnalysis:
     def site_for_instruction(self, instr: ir.Instr) -> Optional[Site]:
         return self._site_of_instr.get(id(instr))
 
-    def all_sites(self) -> Set[Site]:
-        out: Set[Site] = set()
-        for sites in self.points_to.values():
-            out.update(sites)
-        return out
-
     # -- constraint generation ----------------------------------------------
 
     def run(self) -> "AliasAnalysis":

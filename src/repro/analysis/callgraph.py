@@ -173,15 +173,6 @@ def _resolve_site(
     return None
 
 
-def functions_containing(program: ir.Program, predicate) -> Set[str]:
-    """Names of functions with at least one instruction matching predicate."""
-    out: Set[str] = set()
-    for func in program:
-        if any(predicate(instr) for instr in func.instructions()):
-            out.add(func.name)
-    return out
-
-
 def transitive_touchers(graph: CallGraph, direct: Set[str]) -> Set[str]:
     """Functions that reach a function in ``direct`` through calls."""
     out = set(direct)

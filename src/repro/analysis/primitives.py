@@ -104,14 +104,6 @@ class PrimitiveMap:
     def get(self, site: Site) -> Optional[Primitive]:
         return self.primitives.get(site)
 
-    def operations_in_function(self, name: str) -> List[Operation]:
-        return [
-            op
-            for prim in self.primitives.values()
-            for op in prim.operations
-            if op.function == name
-        ]
-
     def __iter__(self):
         return iter(self.primitives.values())
 

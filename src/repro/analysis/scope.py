@@ -26,9 +26,6 @@ class Scope:
     def size(self) -> int:
         return len(self.functions)
 
-    def contains_function(self, name: str) -> bool:
-        return name in self.functions
-
     def __repr__(self) -> str:
         return f"<Scope lca={self.lca} |funcs|={self.size}>"
 

@@ -40,6 +40,7 @@ are the ambient equivalents honoured by every command).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
@@ -722,6 +723,27 @@ def _int_at_least(minimum: int):
 _POSITIVE = _int_at_least(1)
 
 
+def _float_above(minimum: float, or_equal: bool = False):
+    """An argparse type for durations: a value at or below ``minimum``
+    (below it, with ``or_equal``), NaN or infinity is a usage error
+    (exit 2), not a budget that silently times out everything or a poll
+    loop that crashes on its first sleep."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+        if value < minimum or (value == minimum and not or_equal):
+            bound = "at least" if or_equal else "above"
+            raise argparse.ArgumentTypeError(f"must be {bound} {minimum:g}, got {text}")
+        return value
+
+    return parse
+
+
 def _add_max_retries(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-retries", type=_int_at_least(0), default=None,
                    help="bound transient-failure retries per analysis unit "
@@ -734,9 +756,9 @@ def _add_engine_args(p: argparse.ArgumentParser) -> None:
                    help="persist per-primitive results under this directory; "
                         "warm re-runs skip unchanged primitives (default: "
                         "detect runs uncached, a daemon caches in memory)")
-    p.add_argument("--budget-seconds", type=float, default=None,
+    p.add_argument("--budget-seconds", type=_float_above(0), default=None,
                    help="per-primitive wall-clock budget (TIMEOUT on exhaustion)")
-    p.add_argument("--budget-nodes", type=int, default=None,
+    p.add_argument("--budget-nodes", type=_POSITIVE, default=None,
                    help="per-primitive solver-node budget (TIMEOUT on exhaustion)")
     p.add_argument("--checkers", nargs="*", default=None,
                    help="restrict the traditional checkers to this subset "
@@ -900,7 +922,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("watch", help="re-analyze on change, print deltas")
     p.add_argument("path", help="project: one .go file or a directory of them")
-    p.add_argument("--interval", type=float, default=0.5,
+    p.add_argument("--interval", type=_float_above(0, or_equal=True), default=0.5,
                    help="poll interval in seconds (content-hash watcher)")
     p.add_argument("--cycles", type=int, default=None,
                    help="stop after N polls (default: run until interrupted)")

@@ -47,19 +47,6 @@ class AppSpec:
     size_weight: int = 1
 
     @property
-    def gcatch_total(self) -> Cell:
-        cells = [
-            self.bmoc_c,
-            self.bmoc_m,
-            self.forget_unlock,
-            self.double_lock,
-            self.conflict_lock,
-            self.struct_field,
-            self.fatal,
-        ]
-        return Cell(sum(c.real for c in cells), sum(c.fp for c in cells))
-
-    @property
     def gfix_total(self) -> int:
         return self.fix_s1 + self.fix_s2 + self.fix_s3
 

@@ -709,9 +709,6 @@ class GoroutinePath:
 class PathCombination:
     goroutines: List[GoroutinePath]
 
-    def total_ops(self) -> int:
-        return sum(len(g.path.op_events()) for g in self.goroutines)
-
     def has_blocking_op(self) -> bool:
         return any(g.path.blocking_points() for g in self.goroutines)
 

@@ -2,12 +2,13 @@
 
 See :mod:`repro.engine.engine` for the sharding/orchestration model,
 :mod:`repro.engine.fingerprint` for the content-addressing scheme,
-:mod:`repro.engine.cache` for the two-tier result cache, and
+:mod:`repro.engine.cache` for the two-tier result cache (storage only;
+the engine counts its hits and misses), and
 :mod:`repro.resilience` for the crash-isolation firewall every shard and
 cache probe runs behind.
 """
 
-from repro.engine.cache import CachedShard, CacheView, ResultCache, cache_from_env
+from repro.engine.cache import CachedShard, ResultCache
 from repro.engine.engine import (
     TRADITIONAL_CHECKERS,
     DetectionEngine,
@@ -33,7 +34,6 @@ from repro.engine.invalidate import (
 
 __all__ = [
     "CachedShard",
-    "CacheView",
     "DetectionEngine",
     "ENGINE_VERSION",
     "EngineConfig",
@@ -42,7 +42,6 @@ __all__ = [
     "ResultCache",
     "ShardInfo",
     "TRADITIONAL_CHECKERS",
-    "cache_from_env",
     "channel_fingerprint",
     "diff_fingerprints",
     "function_digest",

@@ -27,7 +27,9 @@ Observability: per-shard ``engine-shard`` spans, a ``fingerprint`` span
 around shard fingerprinting (cached runs only), plus the ``cache.hit`` /
 ``cache.miss`` / ``cache.skipped-solver-calls`` / ``engine.timeout`` /
 ``engine.shards`` / ``fingerprint.digests`` counters, all through the
-run's :mod:`repro.obs` collector.
+run's :mod:`repro.obs` collector. ``cache.hit`` / ``cache.miss`` are the
+one count of cache probes: the daemon's ``metrics.cache`` and journal
+records read them instead of counting again.
 
 Resilience (:mod:`repro.resilience`): every shard and every cache probe
 runs behind an exception firewall — a crash anywhere inside one shard
@@ -219,7 +221,6 @@ class DetectionEngine:
         cfg = self.config
         start = time.perf_counter()
         corrupt_before = cfg.cache.corrupt if cfg.cache is not None else 0
-        evicted_before = cfg.cache.evicted if cfg.cache is not None else 0
         bmoc_reports: List[BugReport] = []
         traditional: List[BugReport] = []
         agg = DetectionStats()
@@ -267,8 +268,6 @@ class DetectionEngine:
             obs.count("detect.reports", len(result.all_reports()))
             if cfg.cache is not None and cfg.cache.corrupt > corrupt_before:
                 obs.count("cache.corrupt", cfg.cache.corrupt - corrupt_before)
-            if cfg.cache is not None and cfg.cache.evicted > evicted_before:
-                obs.count("cache.evict", cfg.cache.evicted - evicted_before)
             result.trace = obs
         return result
 
@@ -359,22 +358,31 @@ class DetectionEngine:
         obs.count("fingerprint.digests", digests.computed - computed)
 
     def _probe_cache(self) -> Dict[int, _ShardOutcome]:
-        """The cached shards' outcomes, by shard index."""
+        """The cached shards' outcomes, by shard index.
+
+        The one place a cache hit or miss is counted: every probe that
+        returns counts one ``cache.hit`` or ``cache.miss``, so a shard
+        that misses and then fails keeps its miss.
+        """
         cache = self.config.cache
         cached: Dict[int, _ShardOutcome] = {}
         if cache is None:
             return cached
         for index, info in enumerate(self._shards):
             # a crash while probing (cache I/O, injected fault) is an
-            # incident and an ordinary miss: the shard simply re-runs
+            # incident, counted as neither hit nor miss: the shard re-runs
             probe = self.firewall.call(
                 lambda key=info.fingerprint: cache.get(key),
                 site="cache-read",
                 label=info.label,
             )
-            entry = probe.value if probe.ok else None
-            if entry is None:
+            if not probe.ok:
                 continue
+            entry = probe.value
+            if entry is None:
+                self.collector.count("cache.miss")
+                continue
+            self.collector.count("cache.hit")
             info.outcome = "cached"
             cached[index] = _ShardOutcome(
                 reports=entry.reports,
@@ -404,11 +412,8 @@ class DetectionEngine:
         if not obs:
             return
         if info.outcome == "cached":
-            obs.count("cache.hit")
             obs.count("cache.skipped-solver-calls", outcome.stats.solver_calls)
             return
-        if self.config.cache is not None:
-            obs.count("cache.miss")
         obs.observe("engine.shard.seconds", outcome.seconds)
         # merge adopts the shard's span trees under the open gcatch span
         # with lineage intact

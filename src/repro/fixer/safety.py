@@ -236,10 +236,6 @@ def _effect_of(instr: ir.Instr, func: ir.Function, allowed_sites, alias) -> Opti
     return None
 
 
-def count_ops_on_channel(shape: BugShape) -> int:
-    return len(shape.child_ops)
-
-
 def recv_value_used(program: ir.Program, op: Operation) -> bool:
     """Is the value received by ``op`` consumed anywhere?"""
     instr = op.instr

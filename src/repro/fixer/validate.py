@@ -248,21 +248,3 @@ def _static_clean(patched_program, fix: FixResult) -> bool:
     return not any(
         r.primitive is not None and r.primitive.site.label == label for r in result.reports
     )
-
-
-def validate_all(
-    original_source: str,
-    fixes: List[FixResult],
-    entry_of,
-    seeds: int = 25,
-) -> List[PatchValidation]:
-    """Validate a batch of patches; ``entry_of(fix)`` names each driver."""
-    out: List[PatchValidation] = []
-    for fix in fixes:
-        if not fix.fixed:
-            continue
-        entry = entry_of(fix)
-        if entry is None:
-            continue
-        out.append(validate_patch(original_source, fix, entry, seeds=seeds))
-    return out

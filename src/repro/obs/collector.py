@@ -363,10 +363,6 @@ class Collector:
         self._stack.append(span)
         return _SpanHandle(self, span)
 
-    def current_span(self) -> Optional[Span]:
-        """The innermost open span, if any (lineage anchor for adoption)."""
-        return self._stack[-1] if self._stack else None
-
     def _close_span(self, span: Span) -> None:
         span.end = time.perf_counter()
         # unwind to the matching span so a leaked inner handle can't corrupt
@@ -401,9 +397,6 @@ class Collector:
                 count, seconds = totals.get(span.name, (0, 0.0))
                 totals[span.name] = (count + 1, seconds + span.seconds)
         return totals
-
-    def span_names(self) -> List[str]:
-        return list(self.stage_totals())
 
     # -- metrics -----------------------------------------------------------
 

@@ -257,10 +257,6 @@ def explore_schedules(
     ]
 
 
-def any_blocks(results: List[ExecutionResult]) -> bool:
-    return any(r.blocked_forever for r in results)
-
-
 def replay_trace(
     program: ir.Program,
     trace: List[Choice],

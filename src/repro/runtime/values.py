@@ -94,16 +94,6 @@ class Channel:
         self.send_waiters: List[Tuple[int, Any]] = []
         self.recv_waiters: List[int] = []
 
-    # -- readiness probes (used by select and by blocked-op retries) -----
-
-    def can_send(self) -> bool:
-        if self.closed:
-            return True  # proceeds by panicking
-        return len(self.buffer) < self.capacity or bool(self.recv_waiters)
-
-    def can_recv(self) -> bool:
-        return bool(self.buffer) or self.closed or bool(self.send_waiters)
-
     # -- operations -------------------------------------------------------
 
     def try_send(self, value: Any) -> Tuple[bool, Optional[int]]:
@@ -157,11 +147,6 @@ class Channel:
         woken.extend(gid for gid, _ in self.send_waiters)
         self.send_waiters.clear()
         return woken
-
-    def forget_waiter(self, gid: int) -> None:
-        """Remove a goroutine from wait queues (used when a select commits)."""
-        self.recv_waiters = [g for g in self.recv_waiters if g != gid]
-        self.send_waiters = [(g, v) for g, v in self.send_waiters if g != gid]
 
     def __repr__(self) -> str:
         state = "closed" if self.closed else f"{len(self.buffer)}/{self.capacity}"

@@ -18,7 +18,9 @@ health) stays single-writer; shared structures (result cache, collector
 counters/dists, incident ledger) are lock-protected. Each request runs
 against a private sub-collector whose span tree and metrics are merged
 into the daemon's collector at completion, so traces stay intact under
-``--workers N``.
+``--workers N``. The engine's ``cache.hit`` / ``cache.miss`` counters are
+the only cache accounting: a request's own pair fills its journal
+record's ``cache`` field, the daemon's merged pair is ``metrics.cache``.
 
 Overload semantics (see :mod:`repro.service.admission`): requests are
 admitted *under the scheduler lock* at submit time — queue-depth limits
@@ -47,7 +49,6 @@ admission itself (the ``service-admission`` fault site).
 from __future__ import annotations
 
 import dataclasses
-import socket
 import socketserver
 import threading
 import time
@@ -58,13 +59,7 @@ from typing import Dict, Optional
 from repro.cli import exit_code_for
 from repro.detector.gcatch import GCatchResult
 from repro.detector.reporting import BugReport
-from repro.engine import (
-    CacheView,
-    EngineConfig,
-    ResultCache,
-    diff_fingerprints,
-    run_engine,
-)
+from repro.engine import EngineConfig, ResultCache, diff_fingerprints, run_engine
 from repro.engine.invalidate import InvalidationDelta
 from repro.obs import (
     STAGE_SERVICE_REQUEST,
@@ -77,7 +72,7 @@ from repro.obs import (
 )
 from repro.resilience.faultinject import maybe_fault
 from repro.resilience.firewall import Firewall, RetryPolicy
-from repro.resilience.incidents import Incident, incidents_to_json
+from repro.resilience.incidents import incidents_to_json
 from repro.service.admission import (
     ADMISSION_EXEMPT,
     AdmissionConfig,
@@ -142,13 +137,11 @@ def report_to_json(report: BugReport) -> dict:
 @dataclass
 class RequestContext:
     """Everything one in-flight request is allowed to touch: its tenant's
-    resident state, its private sub-collector, and its window onto the
-    shared result cache."""
+    resident state and its private sub-collector."""
 
     request: Request
     tenant: TenantState
     obs: Collector
-    cache: CacheView
 
 
 class AnalysisService:
@@ -171,14 +164,14 @@ class AnalysisService:
         self.collector = Collector(f"serve:{path}")
         #: tenant id -> resident project; 'default' is the daemon's own
         self.tenants = TenantRegistry(path, collector=self.collector)
-        self.config = config or EngineConfig()
-        # the warm cache is the point of staying resident (memory-only
-        # unless the config brings a disk-backed one) — and it is
-        # deliberately shared across tenants: fingerprints are
-        # content-addressed, so identical code keys identical entries
-        self.cache = self.config.cache
-        if self.cache is None:
-            self.cache = ResultCache()
+        config = config or EngineConfig()
+        if config.cache is None:
+            # the warm cache is the point of staying resident (memory-only
+            # unless the config brings a disk-backed one) — and it is
+            # deliberately shared across tenants: fingerprints are
+            # content-addressed, so identical code keys identical entries
+            config = dataclasses.replace(config, cache=ResultCache())
+        self.config = config
         self.firewall = Firewall(
             collector=self.collector,
             policy=RetryPolicy(max_retries=self.config.max_retries),
@@ -397,10 +390,7 @@ class AnalysisService:
         # and metrics merge into the daemon collector at completion
         req_obs = Collector(f"request:{request.trace_id}")
         ctx = RequestContext(
-            request=request,
-            tenant=resident or self.tenants.default,
-            obs=req_obs,
-            cache=CacheView(self.cache),
+            request=request, tenant=resident or self.tenants.default, obs=req_obs
         )
         if resident is not None:
             # single-writer by scheduler serialization: the tenant's
@@ -452,7 +442,10 @@ class AnalysisService:
             response,
             outcome,
             elapsed,
-            cache_delta={"hits": ctx.cache.hits, "misses": ctx.cache.misses},
+            cache_delta={
+                "hits": req_obs.counters.get("cache.hit", 0),
+                "misses": req_obs.counters.get("cache.miss", 0),
+            },
         )
         return response
 
@@ -575,16 +568,13 @@ class AnalysisService:
 
             new = shard_fingerprints(
                 ctx.tenant.state.program,
-                config=self._engine_config(ctx),
+                config=self.config,
                 collector=ctx.obs,
             )
             payload["invalidation"] = diff_fingerprints(
                 ctx.tenant.fingerprints, new
             ).to_json()
         return payload
-
-    def _engine_config(self, ctx: RequestContext) -> EngineConfig:
-        return dataclasses.replace(self.config, cache=ctx.cache)
 
     def _detect(
         self, params: dict, ctx: RequestContext
@@ -602,11 +592,7 @@ class AnalysisService:
             else:
                 refresh_payload = delta.to_json()
                 refresh_payload["noop"] = delta.is_noop()
-        result = run_engine(
-            ctx.tenant.state.program,
-            config=self._engine_config(ctx),
-            collector=ctx.obs,
-        )
+        result = run_engine(ctx.tenant.state.program, config=self.config, collector=ctx.obs)
         return result, refresh_payload
 
     def _method_detect(self, params: dict, ctx: RequestContext) -> dict:
@@ -805,17 +791,20 @@ class AnalysisService:
         }
 
     def _method_metrics(self, params: dict, ctx: RequestContext) -> dict:
-        """The light health/metrics view: obs counters + incident ledger."""
+        """The light health/metrics view: obs counters + incident ledger.
+        ``cache.hits`` / ``cache.misses`` are the merged ``cache.hit`` /
+        ``cache.miss`` counters of every request served so far."""
+        counters = dict(self.collector.counters)
+        cache = self.config.cache
         return {
-            "counters": dict(self.collector.counters),
+            "counters": counters,
             "gauges": dict(self.collector.gauges),
             "incidents": incidents_to_json(self.firewall.incidents),
             "cache": {
-                "entries": len(self.cache),
-                "hits": self.cache.hits,
-                "misses": self.cache.misses,
-                "corrupt": self.cache.corrupt,
-                "evicted": self.cache.evicted,
+                "entries": len(cache),
+                "hits": counters.get("cache.hit", 0),
+                "misses": counters.get("cache.miss", 0),
+                "corrupt": cache.corrupt,
             },
             "scheduler": {
                 "workers": self.queue.workers,

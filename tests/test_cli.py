@@ -141,10 +141,11 @@ class TestExploreCommand:
 
 
 class TestBudgetValidation:
-    """An integer flag below its floor is an argparse usage error (exit 2):
-    a run, step or program budget below one would report a vacuous clean
-    result, a zero daemon count crashed, and a zero worker count or a
-    negative retry count was silently clamped."""
+    """A numeric flag below its floor is an argparse usage error (exit 2):
+    a run, step, program or per-primitive budget below one would report a
+    vacuous clean result, a zero daemon count crashed, a zero worker count
+    or a negative retry count was silently clamped, and a negative watch
+    interval crashed the poll loop after the first detect."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -172,6 +173,10 @@ class TestBudgetValidation:
             ["fuzz", "--count", "1", "--max-retries", "-4"],
             ["serve", "FILE", "--max-retries", "-4"],
             ["watch", "FILE", "--cycles", "0", "--max-retries", "-4"],
+            ["detect", "FILE", "--budget-nodes", "-5"],
+            ["detect", "FILE", "--budget-nodes", "0"],
+            ["serve", "FILE", "--budget-nodes", "0"],
+            ["watch", "FILE", "--cycles", "0", "--budget-nodes", "0"],
         ],
         ids=lambda argv: "-".join(a.strip("-") for a in argv if a != "FILE"),
     )
@@ -188,6 +193,40 @@ class TestBudgetValidation:
             main(argv)
         assert excinfo.value.code == 2
         assert "must be at least" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["detect", "FILE", "--budget-seconds", "0"],
+            ["detect", "FILE", "--budget-seconds", "-1"],
+            ["detect", "FILE", "--budget-seconds", "nan"],
+            ["serve", "FILE", "--budget-seconds", "0"],
+            ["watch", "FILE", "--cycles", "0", "--budget-seconds", "-1"],
+        ],
+        ids=lambda argv: "-".join(a.strip("-") for a in argv if a != "FILE"),
+    )
+    def test_vacuous_wall_clock_budget_is_a_usage_error(
+        self, argv, buggy_file, capsys, monkeypatch
+    ):
+        import io
+        import sys as _sys
+
+        monkeypatch.setattr(_sys, "stdin", io.StringIO(""))
+        complaint = "must be a finite number" if argv[-1] == "nan" else "must be above 0"
+        argv = [buggy_file if a == "FILE" else a for a in argv]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert complaint in capsys.readouterr().err
+
+    def test_negative_watch_interval_is_a_usage_error(self, buggy_file, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["watch", buggy_file, "--cycles", "1", "--interval", "-1"])
+        assert excinfo.value.code == 2
+        assert "must be at least 0, got -1" in capsys.readouterr().err
+
+    def test_zero_watch_interval_is_accepted(self, buggy_file, capsys):
+        assert main(["watch", buggy_file, "--cycles", "1", "--interval", "0"]) == 1
 
     def test_zero_preemption_bound_is_accepted(self, clean_file, capsys):
         assert main(["explore", clean_file, "--preemption-bound", "0"]) == 0

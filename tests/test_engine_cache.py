@@ -224,99 +224,13 @@ class TestFingerprintPrimitives:
 
 
 class TestDiskEviction:
-    """The bounded disk tier: LRU-by-mtime eviction under entry/byte caps."""
-
-    def _fill(self, cache, n=6):
-        from repro.engine import CachedShard
-
-        for i in range(n):
-            cache.put(f"{i:02d}" + "a" * 62, CachedShard(reports=[]))
+    """The disk tier is unbounded: nothing is ever evicted, every put
+    leaves its own ``.pkl`` object behind."""
 
     def test_unbounded_by_default(self, tmp_path):
+        from repro.engine import CachedShard
+
         cache = ResultCache(str(tmp_path))
-        self._fill(cache)
-        assert cache.evicted == 0
+        for i in range(6):
+            cache.put(f"{i:02d}" + "a" * 62, CachedShard(reports=[]))
         assert len(list(tmp_path.glob("objects/*/*.pkl"))) == 6
-
-    def test_max_entries_evicts_oldest(self, tmp_path):
-        import os
-        import time
-
-        cache = ResultCache(str(tmp_path), max_entries=3)
-        from repro.engine import CachedShard
-
-        keys = [f"{i:02d}" + "a" * 62 for i in range(5)]
-        base = time.time() - 100
-        for i, key in enumerate(keys):
-            cache.put(key, CachedShard(reports=[]))
-            # deterministic mtime order regardless of filesystem resolution
-            target = tmp_path / "objects" / key[:2] / (key + ".pkl")
-            os.utime(target, (base + i, base + i))
-        # the store after the last put already evicted down to 3
-        remaining = sorted(p.stem for p in tmp_path.glob("objects/*/*.pkl"))
-        assert len(remaining) == 3
-        assert cache.evicted == 2
-        # the survivors are the most recently written keys
-        assert remaining == sorted(keys[2:])
-
-    def test_max_bytes_evicts_until_under_budget(self, tmp_path):
-        from repro.engine import CachedShard
-
-        probe = ResultCache(str(tmp_path))
-        probe.put("ff" + "b" * 62, CachedShard(reports=[]))
-        entry_size = next(tmp_path.glob("objects/*/*.pkl")).stat().st_size
-        cache = ResultCache(str(tmp_path), max_bytes=entry_size * 3)
-        self._fill(cache, n=6)
-        total = sum(p.stat().st_size for p in tmp_path.glob("objects/*/*.pkl"))
-        assert total <= entry_size * 3
-        assert cache.evicted >= 3
-
-    def test_disk_hit_refreshes_recency(self, tmp_path):
-        import os
-        import time
-
-        from repro.engine import CachedShard
-
-        cache = ResultCache(str(tmp_path), max_entries=2)
-        old, young = "aa" + "c" * 62, "bb" + "c" * 62
-        cache.put(old, CachedShard(reports=[]))
-        cache.put(young, CachedShard(reports=[]))
-        past = time.time() - 100
-        for i, key in enumerate((old, young)):
-            target = tmp_path / "objects" / key[:2] / (key + ".pkl")
-            os.utime(target, (past + i, past + i))
-        # touch `old` through a *disk* read (fresh instance: memory is cold)
-        assert ResultCache(str(tmp_path)).get(old) is not None
-        cache.put("cc" + "c" * 62, CachedShard(reports=[]))
-        stems = {p.stem for p in tmp_path.glob("objects/*/*.pkl")}
-        assert old in stems and young not in stems
-
-    def test_never_evicts_the_entry_just_written(self, tmp_path):
-        from repro.engine import CachedShard
-
-        cache = ResultCache(str(tmp_path), max_entries=0)
-        key = "dd" + "e" * 62
-        cache.put(key, CachedShard(reports=[]))
-        assert [p.stem for p in tmp_path.glob("objects/*/*.pkl")] == [key]
-
-    def test_engine_counts_evictions(self, tmp_path):
-        collector = Collector("evict")
-        cache = ResultCache(str(tmp_path), max_entries=2)
-        result = run(BASE, cache, collector=collector)
-        if len(result.shards) > 2:
-            assert collector.counters.get("cache.evict", 0) == cache.evicted > 0
-
-    def test_cache_from_env_reads_bounds(self, tmp_path, monkeypatch):
-        from repro.engine import cache_from_env
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        monkeypatch.setenv("REPRO_CACHE_MAX_ENTRIES", "7")
-        monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "1048576")
-        cache = cache_from_env()
-        assert cache.max_entries == 7
-        assert cache.max_bytes == 1048576
-        monkeypatch.setenv("REPRO_CACHE_MAX_ENTRIES", "0")
-        monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "junk")
-        cache = cache_from_env()
-        assert cache.max_entries is None
-        assert cache.max_bytes is None

@@ -337,6 +337,9 @@ class TestCacheQuarantine:
         assert len(result.bmoc.reports) == 2
         assert result.health() == HEALTH_DEGRADED
         assert all(i.site == "cache-read" for i in result.incidents)
+        # a probe that raises is neither a hit nor a miss
+        assert "cache.hit" not in collector.counters
+        assert "cache.miss" not in collector.counters
 
     def test_injected_write_failure_is_incident_not_abort(self, tmp_path):
         from repro.engine import ResultCache

@@ -308,10 +308,15 @@ class TestDaemonMethods:
 
     def test_warm_repeat_is_fully_cached(self, service):
         ok(service.call("detect"))
+        before = ok(service.call("metrics"))["counters"]
+        assert before.get("solver.calls", 0) > 0
         result = ok(service.call("detect"))
         assert result["shards"]["skip_rate"] == 1.0
         assert result["delta"]["invalidated"] == []
         assert result["delta"]["reused"]
+        # pure cache: the warm repeat does no solver work at all
+        after = ok(service.call("metrics"))["counters"]
+        assert after.get("solver.calls", 0) == before["solver.calls"]
 
     def test_unknown_method(self, service):
         response = service.call("nonsense")

@@ -152,6 +152,65 @@ class TestSolverSkipRate:
             service.stop()
 
 
+class TestOneCacheCount:
+    """The engine counts each cache probe once, as ``cache.hit`` or
+    ``cache.miss``; the daemon's ``metrics.cache`` and each journal
+    record's ``cache`` field read those counters, so the three agree
+    under faults too."""
+
+    N_FILES = 6
+
+    def test_metrics_journal_and_counters_agree_per_request(self, tmp_path):
+        from repro.resilience import injected
+
+        root = tmp_path / "proj"
+        root.mkdir()
+        for i in range(self.N_FILES):
+            (root / f"part{i:02d}.go").write_text(LEAKY.format(name=f"leak{i:02d}"))
+        journal = tmp_path / "journal.jsonl"
+        service = AnalysisService(str(root), journal_path=str(journal)).start()
+
+        def detect() -> dict:
+            before = ok(service.call("metrics"))["counters"]
+            result = ok(service.call("detect"))
+            metrics = ok(service.call("metrics"))
+            after = metrics["counters"]
+            assert metrics["cache"]["hits"] == after.get("cache.hit", 0)
+            assert metrics["cache"]["misses"] == after.get("cache.miss", 0)
+            deltas = {
+                key: after.get(name, 0) - before.get(name, 0)
+                for key, name in (("hits", "cache.hit"), ("misses", "cache.miss"))
+            }
+            record = [r for r in service.journal.read() if r["method"] == "detect"][-1]
+            assert record["cache"] == deltas
+            # one probe per shard: a miss is every shard the cache did not
+            # answer, failed shards included
+            shards = result["shards"]
+            assert deltas == {"hits": shards["cached"], "misses": shards["executed"]}
+            return result
+
+        try:
+            cold = detect()
+            assert cold["shards"]["cached"] == 0
+            warm = detect()
+            assert warm["shards"]["skip_rate"] == 1.0
+            # an edit that adds no declarations: one file's leak fixed
+            (root / "part02.go").write_text(FIXED.format(name="leak02"))
+            edited = detect()
+            assert edited["shards"]["cached"] > 0 and edited["shards"]["executed"] > 0
+            # another file's leak changed under a solver crash: its shard
+            # misses, then fails, and keeps its miss
+            (root / "part04.go").write_text(
+                LEAKY.format(name="leak04").replace("ch <- 1", "ch <- 4")
+            )
+            with injected("solve:raise"):
+                faulted = detect()
+            assert faulted["shards"]["failed"] >= 1
+            assert faulted["health"] == "degraded"
+        finally:
+            service.stop()
+
+
 def _span_names(span: dict):
     yield span["name"]
     for child in span.get("children", ()):
