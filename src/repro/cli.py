@@ -463,9 +463,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             slow_threshold_seconds=args.slow_threshold,
             workers=args.workers,
             max_queue=args.max_queue,
-            tenant_max_queue=args.tenant_max_queue,
-            quota=args.quota,
-            quota_burst=args.quota_burst,
         ).start()
     except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot load project {args.path}: {exc}", file=sys.stderr)
@@ -521,10 +518,7 @@ def cmd_client(args: argparse.Namespace) -> int:
             host=args.host, port=args.port, connect_timeout=args.connect_timeout
         ) as client:
             response = client.call(
-                args.method,
-                params,
-                tenant=args.tenant or "default",
-                priority=args.priority,
+                args.method, params, tenant=args.tenant or "default"
             )
     except ServiceConnectionError as exc:
         print(str(exc), file=sys.stderr)
@@ -659,7 +653,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
             f"  {tel['executed']} executed / {tel['skipped']} skipped in "
             f"{tel['elapsed_seconds']:.2f}s"
             + (f" ({rate:.2f} units/s)" if rate else "")
-            + f"; restarts={tel['restarts']} sheds={tel['sheds']}"
+            + f"; restarts={tel['restarts']}"
         )
         for uid, reason in sorted(result.failed.items()):
             print(f"  FAILED {uid}: {reason}", file=sys.stderr)
@@ -905,18 +899,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="analysis worker pool size; tenants run "
                         "concurrently, one tenant's requests never do "
                         "(default: 2)")
-    p.add_argument("--max-queue", type=int, default=None,
-                   help="global queued-request bound: excess requests are "
+    p.add_argument("--max-queue", type=_POSITIVE, default=None,
+                   help="queued-request bound: excess analysis requests are "
                         "shed with OVERLOADED instead of queued "
                         "(default: unbounded)")
-    p.add_argument("--tenant-max-queue", type=int, default=None,
-                   help="per-tenant queued-request bound (default: unbounded)")
-    p.add_argument("--quota", type=float, default=None, metavar="RATE",
-                   help="per-tenant token-bucket quota in requests/second; "
-                        "excess is shed with QUOTA_EXCEEDED + retry_after "
-                        "(default: no quota)")
-    p.add_argument("--quota-burst", type=float, default=None,
-                   help="token-bucket size (default: max(quota, 1))")
     _add_engine_args(p)
     p.set_defaults(func=cmd_serve)
 
@@ -956,10 +942,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tenant", default=None,
                    help="address a registered tenant (default: the "
                         "daemon's own project)")
-    p.add_argument("--priority", choices=["high", "normal", "low"],
-                   default="normal",
-                   help="scheduling class (low is shed first under "
-                        "degraded health)")
     p.add_argument("--connect-timeout", type=float, default=5.0,
                    help="seconds to keep retrying the TCP connect with "
                         "deterministic backoff (a daemon still binding "

@@ -7,12 +7,10 @@ its daemon is free, so a slow unit on one daemon never idles the others
 
 Per-attempt failure handling, in order of escalation:
 
-* ``OVERLOADED`` / ``QUOTA_EXCEEDED`` sheds honor the daemon's
-  ``retry_after`` hint (bounded waits, then the unit counts a dispatch
-  attempt and re-enters the queue);
-* a crashed request (``REQUEST_FAILED``) or in-queue deadline is retried
+* an error response (a crashed request, an in-queue deadline) is retried
   until the unit has made ``MAX_ATTEMPTS`` dispatch attempts, then
-  recorded as a failed unit;
+  recorded as a failed unit — the daemons run without ``--max-queue``
+  and each serves one driver thread, so none ever sheds;
 * a dead or *stalled* daemon — connection refused, connection lost, or a
   unit exceeding ``straggler_timeout`` with no response — is killed and
   restarted at once (the supervisor bounds the spawn retries), and the
@@ -46,18 +44,7 @@ from repro.fleet.supervisor import FleetSupervisor, SupervisorError
 from repro.obs.journal import TelemetryJournal, request_record
 from repro.resilience.faultinject import FaultInjected, maybe_fault
 from repro.service.client import ServiceConnectionError, ServiceRequestError
-from repro.service.protocol import (
-    DEADLINE_EXCEEDED,
-    OVERLOADED,
-    QUOTA_EXCEEDED,
-    is_error,
-)
-
-#: ceiling on one backpressure wait, whatever the daemon hints
-MAX_RETRY_AFTER = 2.0
-
-#: backpressure retries per dispatch attempt before the attempt fails
-MAX_SHED_RETRIES = 8
+from repro.service.protocol import is_error
 
 #: dispatch attempts per unit before it is recorded as failed
 MAX_ATTEMPTS = 3
@@ -77,7 +64,6 @@ class FleetResult:
     metas: Dict[str, dict] = field(default_factory=dict)
     failed: Dict[str, str] = field(default_factory=dict)  # uid -> reason
     restarts: int = 0
-    sheds: int = 0
     incidents: List[str] = field(default_factory=list)
     elapsed_seconds: float = 0.0
 
@@ -89,7 +75,6 @@ class FleetResult:
             self.metas,
             self.elapsed_seconds,
             restarts=self.restarts,
-            sheds=self.sheds,
             incidents=len(self.incidents),
         )
 
@@ -169,7 +154,7 @@ def run_sweep(
                 return
             unit_started = time.perf_counter()
             try:
-                response, sheds = _dispatch(supervisor, name, unit)
+                response = _dispatch(supervisor, name, unit)
             except ServiceRequestError as exc:
                 # tenant registration rejected — a request-level failure,
                 # not a daemon death: count the attempt and requeue
@@ -188,8 +173,6 @@ def run_sweep(
                     return
                 requeue(unit, f"daemon failure: {exc}")
                 continue
-            with lock:
-                result.sheds += sheds
             elapsed = time.perf_counter() - unit_started
             if is_error(response):
                 error = response["error"]
@@ -207,7 +190,6 @@ def run_sweep(
                 "daemon": name,
                 "attempts": attempts.get(unit.uid, 0) + 1,
                 "elapsed_seconds": round(elapsed, 6),
-                "sheds": sheds,
             }
             if unit.kind == "project":
                 meta["cache"] = {
@@ -229,40 +211,22 @@ def run_sweep(
                     fatal.append(SweepKilled(str(exc)))
                 return
 
-    def _dispatch(sup: FleetSupervisor, name: str, unit: WorkUnit):
-        """One dispatch attempt; returns (response, shed_count). Raises
+    def _dispatch(sup: FleetSupervisor, name: str, unit: WorkUnit) -> dict:
+        """One dispatch attempt; returns the response. Raises
         ServiceConnectionError/FaultInjected for daemon-level failure."""
         maybe_fault("fleet-dispatch", unit.uid)
-        sheds = 0
-        while True:
-            client = sup.client(name)
-            if unit.kind == "project":
-                if not sup.is_registered(name, unit.uid):
-                    client.result(
-                        "register", {"tenant": unit.uid, "path": unit.path}
-                    )
-                    sup.mark_registered(name, unit.uid)
-                params = {}
-                if deadline_seconds is not None:
-                    params["deadline_seconds"] = deadline_seconds
-                response = client.call("detect", params, tenant=unit.uid)
-            else:
-                response = client.call(
-                    "fuzz",
-                    {"seed": unit.seed, "start": unit.start, "count": unit.count},
-                )
-            if is_error(response):
-                error = response["error"]
-                if error.get("code") in (OVERLOADED, QUOTA_EXCEEDED):
-                    sheds += 1
-                    if sheds > MAX_SHED_RETRIES:
-                        return response, sheds
-                    wait = float(error.get("retry_after") or 0.05)
-                    time.sleep(min(wait, MAX_RETRY_AFTER))
-                    continue
-                if error.get("code") == DEADLINE_EXCEEDED:
-                    return response, sheds
-            return response, sheds
+        client = sup.client(name)
+        if unit.kind == "project":
+            if not sup.is_registered(name, unit.uid):
+                client.result("register", {"tenant": unit.uid, "path": unit.path})
+                sup.mark_registered(name, unit.uid)
+            params = {}
+            if deadline_seconds is not None:
+                params["deadline_seconds"] = deadline_seconds
+            return client.call("detect", params, tenant=unit.uid)
+        return client.call(
+            "fuzz", {"seed": unit.seed, "start": unit.start, "count": unit.count}
+        )
 
     if straggler_timeout is not None:
         supervisor.request_timeout = straggler_timeout

@@ -147,7 +147,6 @@ def merge_telemetry(
     metas: Dict[str, dict],
     elapsed_seconds: float,
     restarts: int = 0,
-    sheds: int = 0,
     incidents: int = 0,
 ) -> dict:
     """Fleet-level telemetry from per-unit dispatch metadata.
@@ -186,7 +185,6 @@ def merge_telemetry(
         "redispatches": max(0, attempts - executed),
         "by_daemon": by_daemon,
         "restarts": restarts,
-        "sheds": sheds,
         "incidents": incidents,
         "cache_hit_rate": cache_hits / probes if probes else None,
     }

@@ -6,7 +6,7 @@ Two daemon backends behind one handle interface:
   behind a real TCP :class:`~repro.service.daemon.ServiceServer` on an
   ephemeral port, served from a thread. Fast to spawn (no interpreter
   fork), used by tests and benchmarks; still exercises the full wire
-  protocol, admission, and scheduler.
+  protocol and scheduler.
 * ``process`` — ``python -m repro serve <seed> --port 0`` as a child
   process, the bound port parsed from the daemon's banner line (the same
   line the CI smoke job parses). Used by the CLI and the fleet-smoke CI

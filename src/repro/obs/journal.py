@@ -2,8 +2,8 @@
 
 The analysis daemon appends **one JSONL record per request** — trace id,
 method, tenant, queue wait, end-to-end latency, per-stage totals, cache
-lineage, incident count, outcome (including ``overloaded``/``quota`` for
-shed requests: the journal records every outcome, served or not), and
+lineage, incident count, outcome (including ``overloaded`` for shed
+requests: the journal records every outcome, served or not), and
 (for slow requests) the full span-tree exemplar — so "which request was
 slow, where, and why" is answerable
 after the daemon restarts, after the client disconnected, and across
@@ -133,8 +133,9 @@ class TelemetryJournal:
         return records
 
 
-#: journal outcomes for requests answered by admission/scheduling instead
-#: of a handler (the daemon records every outcome, served or shed)
+#: journal outcomes for requests shed instead of served; ``quota`` is
+#: kept so journals written before the quota was removed still count
+#: their quota sheds as sheds
 SHED_OUTCOMES = ("overloaded", "quota")
 
 
@@ -146,7 +147,6 @@ def request_record(
     elapsed_seconds: float,
     queue_wait_seconds: float = 0.0,
     tenant: Optional[str] = None,
-    priority: Optional[str] = None,
     code: Optional[int] = None,
     reports: Optional[int] = None,
     generation: Optional[int] = None,
@@ -168,8 +168,6 @@ def request_record(
     }
     if tenant is not None:
         record["tenant"] = tenant
-    if priority is not None and priority != "normal":
-        record["priority"] = priority
     if code is not None:
         record["code"] = code
     if reports is not None:

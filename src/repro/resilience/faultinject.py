@@ -15,8 +15,6 @@ cache-write :meth:`repro.engine.cache.ResultCache._store`
 fix-apply  per GFix strategy attempt
 validate   :func:`repro.fixer.validate.validate_patch`
 service-request  per analysis-daemon request (:mod:`repro.service`)
-service-admission  per admission decision, before a request is queued
-service-scheduler  per dispatched request, as a worker picks it up
 fuzz-program  per generated program in a fuzz campaign (:mod:`repro.fuzz`)
 fleet-supervisor  per daemon spawn and per post-unit checkpoint (:mod:`repro.fleet`)
 fleet-dispatch  per unit dispatch, before the request leaves the driver
@@ -62,8 +60,6 @@ FAULT_SITES: Tuple[str, ...] = (
     "fix-apply",
     "validate",
     "service-request",
-    "service-admission",
-    "service-scheduler",
     "fuzz-program",
     "fleet-supervisor",
     "fleet-dispatch",

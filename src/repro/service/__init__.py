@@ -4,8 +4,8 @@ The one-shot pipeline re-parses, re-builds SSA and re-solves from
 scratch on every invocation; this package keeps projects *resident* and
 serves detect/fix/stats requests over a line-delimited JSON protocol,
 re-analyzing only what an edit invalidated. One daemon holds N tenants
-(registered projects) behind a pool of analysis workers with weighted
-fair scheduling, admission control and load shedding:
+(registered projects) behind a pool of analysis workers that drains the
+tenants' queues round-robin, with one queue bound that sheds overload:
 
 * :mod:`repro.service.project` — per-file AST cache + function-digest
   diffing (re-parse only changed files);
@@ -14,11 +14,8 @@ fair scheduling, admission control and load shedding:
 * :mod:`repro.service.daemon` — the :class:`AnalysisService` core, the
   request methods, and the stdio/TCP transports;
 * :mod:`repro.service.scheduler` — the worker pool behind per-tenant
-  deficit-round-robin queues with priority classes and per-request
-  deadlines;
-* :mod:`repro.service.admission` — queue-depth limits, per-tenant
-  token-bucket quotas and degraded-mode shedding (structured
-  ``OVERLOADED``/``QUOTA_EXCEEDED`` with ``retry_after``);
+  FIFOs drained round-robin, per-request deadlines, and the
+  ``--max-queue`` bound (structured ``OVERLOADED`` with ``retry_after``);
 * :mod:`repro.service.protocol` — the wire protocol;
 * :mod:`repro.service.client` — the TCP client (``repro client``);
 * :mod:`repro.service.watch` — polling watcher + the ``repro watch``
@@ -31,13 +28,6 @@ would reproduce the cached result byte-for-byte — which is also why the
 cache is safely *shared across tenants*.
 """
 
-from repro.service.admission import (
-    ADMISSION_EXEMPT,
-    AdmissionConfig,
-    AdmissionController,
-    Rejection,
-    TokenBucket,
-)
 from repro.service.client import (
     ServiceClient,
     ServiceConnectionError,
@@ -56,35 +46,28 @@ from repro.service.protocol import (
     DEFAULT_TENANT,
     METHODS,
     OVERLOADED,
-    PRIORITIES,
     PROTOCOL_VERSION,
-    QUOTA_EXCEEDED,
     Request,
     ServiceError,
     decode_request,
     encode_line,
 )
-from repro.service.scheduler import FairScheduler
+from repro.service.scheduler import SHED_EXEMPT, FairScheduler
 from repro.service.tenants import TenantRegistry, TenantState
 from repro.service.watch import Watcher, run_watch
 
 __all__ = [
-    "ADMISSION_EXEMPT",
-    "AdmissionConfig",
-    "AdmissionController",
     "AnalysisService",
     "DEFAULT_TENANT",
     "FairScheduler",
     "METHODS",
     "OVERLOADED",
-    "PRIORITIES",
     "PROTOCOL_VERSION",
     "ProjectState",
-    "QUOTA_EXCEEDED",
     "RefreshDelta",
-    "Rejection",
     "Request",
     "RequestContext",
+    "SHED_EXEMPT",
     "ServiceClient",
     "ServiceConnectionError",
     "ServiceError",
@@ -92,7 +75,6 @@ __all__ = [
     "ServiceServer",
     "TenantRegistry",
     "TenantState",
-    "TokenBucket",
     "Watcher",
     "decode_request",
     "encode_line",

@@ -74,16 +74,11 @@ class ServiceClient:
         method: str,
         params: Optional[Dict[str, Any]] = None,
         tenant: str = DEFAULT_TENANT,
-        priority: str = "normal",
     ) -> dict:
         """Send one request, wait for its response dict (result or error)."""
         self._next_id += 1
         request = Request(
-            id=self._next_id,
-            method=method,
-            params=params or {},
-            tenant=tenant,
-            priority=priority,
+            id=self._next_id, method=method, params=params or {}, tenant=tenant
         )
         try:
             self._sock.sendall(encode_line(request.to_json()).encode("utf-8"))
@@ -104,10 +99,9 @@ class ServiceClient:
         method: str,
         params: Optional[Dict[str, Any]] = None,
         tenant: str = DEFAULT_TENANT,
-        priority: str = "normal",
     ) -> Any:
         """Like :meth:`call` but unwraps ``result`` and raises on ``error``."""
-        response = self.call(method, params, tenant=tenant, priority=priority)
+        response = self.call(method, params, tenant=tenant)
         if is_error(response):
             error = response["error"]
             raise ServiceRequestError(error.get("code"), error.get("message"), error)

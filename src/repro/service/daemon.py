@@ -22,14 +22,14 @@ into the daemon's collector at completion, so traces stay intact under
 the only cache accounting: a request's own pair fills its journal
 record's ``cache`` field, the daemon's merged pair is ``metrics.cache``.
 
-Overload semantics (see :mod:`repro.service.admission`): requests are
-admitted *under the scheduler lock* at submit time — queue-depth limits
-and per-tenant token-bucket quotas shed excess work with structured
-``OVERLOADED``/``QUOTA_EXCEEDED`` errors (plus a ``retry_after`` hint)
-instead of queueing it, degraded health sheds low-priority requests
-first, and a request that is both sheddable and past its deadline is
-answered ``DEADLINE_EXCEEDED`` (the deadline wins). Every rejection is
-journaled with its outcome, same as a served request.
+Overload semantics (see :mod:`repro.service.scheduler`): a request for
+an unregistered tenant is rejected at submit time, before it is queued,
+and ``--max-queue`` bounds the queue *under the scheduler lock* — excess
+analysis work is shed with a structured ``OVERLOADED`` error (plus a
+``retry_after`` hint) instead of queued, and a request that is both
+sheddable and past its deadline is answered ``DEADLINE_EXCEEDED`` (the
+deadline wins). Every rejection is journaled with its outcome, same as
+a served request.
 
 The serving loop of one ``detect`` request is unchanged from PR 5:
 
@@ -42,8 +42,8 @@ The serving loop of one ``detect`` request is unchanged from PR 5:
 
 Failure semantics match the CLI's: a crash inside a request degrades
 into a structured incident on *that request's* error response (code
-``REQUEST_FAILED``) and the daemon keeps serving — including crashes in
-admission itself (the ``service-admission`` fault site).
+``REQUEST_FAILED``, fault site ``service-request``) and the daemon keeps
+serving.
 """
 
 from __future__ import annotations
@@ -73,11 +73,6 @@ from repro.obs import (
 from repro.resilience.faultinject import maybe_fault
 from repro.resilience.firewall import Firewall, RetryPolicy
 from repro.resilience.incidents import incidents_to_json
-from repro.service.admission import (
-    ADMISSION_EXEMPT,
-    AdmissionConfig,
-    AdmissionController,
-)
 from repro.service.project import ProjectState
 from repro.service.protocol import (
     DEADLINE_EXCEEDED,
@@ -87,7 +82,6 @@ from repro.service.protocol import (
     INVALID_PARAMS,
     OVERLOADED,
     PROTOCOL_VERSION,
-    QUOTA_EXCEEDED,
     REQUEST_FAILED,
     SHUTTING_DOWN,
     ProtocolError,
@@ -118,10 +112,8 @@ _TENANTLESS_METHODS = ("register", "tenants", "fuzz")
 #: rejection code -> journal outcome tag
 _REJECT_OUTCOMES = {
     OVERLOADED: "overloaded",
-    QUOTA_EXCEEDED: "quota",
     DEADLINE_EXCEEDED: "deadline",
     SHUTTING_DOWN: "shutdown",
-    REQUEST_FAILED: "crashed",
 }
 
 
@@ -157,9 +149,6 @@ class AnalysisService:
         slow_threshold_seconds: float = 5.0,
         workers: int = 1,
         max_queue: Optional[int] = None,
-        tenant_max_queue: Optional[int] = None,
-        quota: Optional[float] = None,
-        quota_burst: Optional[float] = None,
     ):
         self.collector = Collector(f"serve:{path}")
         #: tenant id -> resident project; 'default' is the daemon's own
@@ -176,21 +165,13 @@ class AnalysisService:
             collector=self.collector,
             policy=RetryPolicy(max_retries=self.config.max_retries),
         )
-        self.admission = AdmissionController(
-            AdmissionConfig(
-                max_queue=max_queue,
-                tenant_max_queue=tenant_max_queue,
-                quota_rate=quota,
-                quota_burst=quota_burst,
-            )
-        )
         self.queue = FairScheduler(
             self._handle,
             workers=workers,
             collector=self.collector,
+            max_queue=max_queue,
             admit=self._admit,
             on_reject=self._record_rejection,
-            weight_of=self.tenants.weight_of,
         )
         self.started = time.monotonic()
         self.requests_served = 0
@@ -240,7 +221,6 @@ class AnalysisService:
         params: Optional[dict] = None,
         deadline_seconds: Optional[float] = None,
         tenant: str = DEFAULT_TENANT,
-        priority: str = "normal",
     ) -> dict:
         """In-process convenience: one request through the real scheduler."""
         request = Request(
@@ -249,19 +229,15 @@ class AnalysisService:
             params=params or {},
             deadline_seconds=deadline_seconds,
             tenant=tenant,
-            priority=priority,
         )
         return self.queue.call(request)
 
     # -- admission ---------------------------------------------------------
 
-    def _admit(
-        self, request: Request, global_depth: int, tenant_depth: int
-    ) -> Optional[dict]:
-        """The scheduler's submit-time hook (runs under its lock, so
-        depth checks are exact). ``None`` admits; a response dict sheds."""
-        started = time.monotonic()
-        label = f"{request.tenant}:{request.method}"
+    def _admit(self, request: Request) -> Optional[dict]:
+        """The scheduler's submit-time hook, run before the request is
+        queued: ``None`` admits; a response dict rejects a request for an
+        unregistered tenant."""
         if (
             request.method in METHODS
             and request.method not in _TENANTLESS_METHODS
@@ -274,61 +250,16 @@ class AnalysisService:
                 "(method 'register')",
                 trace_id=request.trace_id,
             )
-        guarded = self.firewall.call(
-            lambda: self._admission_decision(request, global_depth, tenant_depth),
-            site="service-admission",
-            label=label,
-        )
-        if not guarded.ok:
-            incident = guarded.incident
-            return error_response(
-                request.id,
-                REQUEST_FAILED,
-                f"admission crashed: {incident.exception}: {incident.message}",
-                incident=incident.to_json(),
-                trace_id=request.trace_id,
-            )
-        decision = guarded.value
-        if decision is None:
-            return None
-        deadline = request.deadline_seconds
-        if deadline is not None and (time.monotonic() - started) >= deadline:
-            # the deadline wins over the shed: a shed invites a retry,
-            # an expired deadline must not
-            self.collector.count("service.deadline-exceeded")
-            return error_response(
-                request.id,
-                DEADLINE_EXCEEDED,
-                f"deadline of {deadline}s expired at admission",
-                trace_id=request.trace_id,
-            )
-        return error_response(
-            request.id,
-            decision.code,
-            decision.message,
-            trace_id=request.trace_id,
-            retry_after=decision.retry_after,
-        )
-
-    def _admission_decision(
-        self, request: Request, global_depth: int, tenant_depth: int
-    ):
-        maybe_fault("service-admission", f"{request.tenant}:{request.method}")
-        return self.admission.decide(
-            request,
-            global_depth,
-            tenant_depth,
-            degraded=bool(self.firewall.incidents),
-        )
+        return None
 
     def _record_rejection(self, request: Request, response: dict) -> None:
         """Account and journal a request answered without being served
-        (sheds, quota, deadline expiry, shutdown flush, admission crash)."""
+        (unknown tenant, shed, deadline expiry, shutdown flush)."""
         error = response.get("error") or {}
         code = error.get("code")
         outcome = _REJECT_OUTCOMES.get(code, "rejected")
         obs = self.collector
-        if code in (OVERLOADED, QUOTA_EXCEEDED):
+        if code == OVERLOADED:
             obs.count("service.shed")
             obs.count(f"service.shed.{outcome}")
             obs.count(f"tenant.{request.tenant}.shed")
@@ -344,8 +275,6 @@ class AnalysisService:
             elapsed_seconds=0.0,
             queue_wait_seconds=request.queue_wait_seconds,
             tenant=request.tenant,
-            priority=request.priority,
-            incidents=1 if "incident" in error else 0,
         )
         try:
             self.journal.append(record)
@@ -368,17 +297,8 @@ class AnalysisService:
                 f"(valid methods: {', '.join(METHODS)})",
                 trace_id=request.trace_id,
             )
+        # None only for a tenantless method: _admit rejected the rest
         resident = self.tenants.maybe(request.tenant)
-        if resident is None and request.method not in _TENANTLESS_METHODS:
-            # admission normally catches this; belt-and-braces for
-            # embedders that drive the scheduler without admission
-            return error_response(
-                request.id,
-                INVALID_PARAMS,
-                f"unknown tenant {request.tenant!r}; register it first "
-                "(method 'register')",
-                trace_id=request.trace_id,
-            )
         with self._stats_lock:
             self.requests_served += 1
         obs = self.collector
@@ -464,9 +384,7 @@ class AnalysisService:
         obs = self.collector
         obs.observe("service.request.seconds", elapsed)
         obs.observe(f"tenant.{request.tenant}.request.seconds", elapsed)
-        if request.method not in ADMISSION_EXEMPT:
-            # analysis durations price the retry_after hint on depth sheds
-            self.admission.observe_duration(elapsed)
+        self.queue.observe(request, elapsed)
         stages: Dict[str, float] = {}
         for span in request_span.walk():
             if span is request_span:
@@ -502,7 +420,6 @@ class AnalysisService:
             elapsed_seconds=elapsed,
             queue_wait_seconds=request.queue_wait_seconds,
             tenant=request.tenant,
-            priority=request.priority,
             code=result.get("code") if isinstance(result, dict) else None,
             reports=len(result["reports"])
             if isinstance(result, dict) and isinstance(result.get("reports"), list)
@@ -520,9 +437,7 @@ class AnalysisService:
             obs.count("journal.error")
 
     def _run_handler(self, handler, request: Request, ctx: RequestContext):
-        label = f"{request.tenant}:{request.method}"
-        maybe_fault("service-scheduler", label)
-        maybe_fault("service-request", label)
+        maybe_fault("service-request", f"{request.tenant}:{request.method}")
         return handler(request.params, ctx)
 
     def _refresh(self, ctx: RequestContext):
@@ -748,13 +663,7 @@ class AnalysisService:
                 INVALID_PARAMS,
                 "register needs params.path (a .go file or a project directory)",
             )
-        weight = params.get("weight", 1.0)
-        if not isinstance(weight, (int, float)) or isinstance(weight, bool) or weight <= 0:
-            raise ServiceError(
-                INVALID_PARAMS, "weight must be a positive number"
-            )
-        tenant = self.tenants.register(tenant_id, path, weight=float(weight))
-        self.queue.set_weight(tenant.tenant_id, tenant.weight)
+        tenant = self.tenants.register(tenant_id, path)
         payload = tenant.to_json()
         payload["ok"] = True
         return payload
@@ -764,7 +673,7 @@ class AnalysisService:
             "tenants": [tenant.to_json() for tenant in self.tenants.items()],
             "depths": self.queue.depths(),
             "workers": self.queue.workers,
-            "sheds": self.admission.sheds,
+            "sheds": self.queue.sheds,
         }
 
     def _method_stats(self, params: dict, ctx: RequestContext) -> dict:
@@ -810,7 +719,7 @@ class AnalysisService:
                 "workers": self.queue.workers,
                 "depth": self.queue.depth,
                 "depths": self.queue.depths(),
-                "sheds": self.admission.sheds,
+                "sheds": self.queue.sheds,
             },
             "tenants": len(self.tenants),
             "requests": self.requests_served,

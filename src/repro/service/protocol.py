@@ -19,13 +19,11 @@ Methods (see :mod:`repro.service.daemon` for the parameter/result shapes):
 
 Multi-tenancy is additive: a request may carry a ``tenant`` string (a
 registered project id; default ``"default"``, the project the daemon was
-started with) and a ``priority`` class (``high``/``normal``/``low``,
-default ``normal``) — either top-level next to ``trace_id`` or inside
-``params``. Requests without them behave exactly as before, so the
+started with) — either top-level next to ``trace_id`` or inside
+``params``. Requests without one behave exactly as before, so the
 protocol version is unchanged. Under overload the daemon *rejects*
-instead of queueing: ``OVERLOADED`` (queue-depth limits, degraded-mode
-shedding) and ``QUOTA_EXCEEDED`` (per-tenant token bucket) errors carry
-a ``retry_after`` hint in seconds.
+instead of queueing: an ``OVERLOADED`` error (the queue holds
+``--max-queue`` requests) carries a ``retry_after`` hint in seconds.
 
 Every response — results, errors, even protocol errors for garbage
 lines — carries a ``trace_id``. Clients may pin their own by putting a
@@ -63,8 +61,7 @@ INVALID_PARAMS = -32602
 REQUEST_FAILED = -32603  # handler crashed; error carries the incident
 DEADLINE_EXCEEDED = -32000  # expired in the queue before running
 SHUTTING_DOWN = -32001  # daemon is draining; request was not served
-OVERLOADED = -32002  # shed by admission control (queue depth / degraded mode)
-QUOTA_EXCEEDED = -32003  # the tenant's token-bucket quota is exhausted
+OVERLOADED = -32002  # shed: the queue is at its --max-queue bound
 
 #: every method the daemon serves, in documentation order
 METHODS = (
@@ -81,10 +78,6 @@ METHODS = (
     "fuzz",
     "shutdown",
 )
-
-#: scheduling classes, strongest first; the weighted-fair scheduler
-#: drains a class completely before touching the next
-PRIORITIES = ("high", "normal", "low")
 
 #: the tenant every request belongs to unless it says otherwise — the
 #: project the daemon was started with, preserving the PR-5 wire behavior
@@ -123,8 +116,6 @@ class Request:
     queue_wait_seconds: float = 0.0
     #: which registered project this request addresses
     tenant: str = DEFAULT_TENANT
-    #: scheduling class; one of :data:`PRIORITIES`
-    priority: str = "normal"
 
     def to_json(self) -> dict:
         payload: dict = {"id": self.id, "method": self.method}
@@ -134,8 +125,6 @@ class Request:
             payload["trace_id"] = self.trace_id
         if self.tenant != DEFAULT_TENANT:
             payload["tenant"] = self.tenant
-        if self.priority != "normal":
-            payload["priority"] = self.priority
         return payload
 
 
@@ -199,21 +188,13 @@ def decode_request(line: str) -> Request:
             request_id=request_id,
             trace_id=trace_id,
         )
-    # tenant/priority ride top-level (like trace_id) or in params (handy
-    # for `repro client --params`); top-level wins when both are present
+    # tenant rides top-level (like trace_id) or in params (handy for
+    # `repro client --params`); top-level wins when both are present
     tenant = payload.get("tenant", params.get("tenant", DEFAULT_TENANT))
     if not isinstance(tenant, str) or not tenant:
         raise ProtocolError(
             INVALID_PARAMS,
             "tenant must be a non-empty string",
-            request_id=request_id,
-            trace_id=trace_id,
-        )
-    priority = payload.get("priority", params.get("priority", "normal"))
-    if priority not in PRIORITIES:
-        raise ProtocolError(
-            INVALID_PARAMS,
-            f"priority must be one of {', '.join(PRIORITIES)}",
             request_id=request_id,
             trace_id=trace_id,
         )
@@ -224,7 +205,6 @@ def decode_request(line: str) -> Request:
         deadline_seconds=float(deadline) if deadline is not None else None,
         trace_id=trace_id,
         tenant=tenant,
-        priority=priority,
     )
 
 

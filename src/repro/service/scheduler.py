@@ -1,41 +1,31 @@
-"""Weighted-fair request scheduler with a worker pool.
+"""Per-tenant round-robin request scheduler with a worker pool.
 
-The FIFO queue of PR 5 serialized *everything* behind one worker; this
-scheduler keeps what made that design sound — per-tenant analysis state
-stays single-writer — while letting independent tenants run
-concurrently and none of them starve:
+One FIFO behind one worker would serialize *everything*; this scheduler
+keeps what makes that design sound — per-tenant analysis state stays
+single-writer — while letting independent tenants run concurrently and
+none of them starve:
 
-* **per-tenant sub-queues**: each tenant owns one FIFO deque per
-  priority class, so one flooding tenant queues behind itself, not in
-  front of everyone else;
-* **strict priority classes** (``high`` > ``normal`` > ``low``): a class
-  is drained before the next is touched;
-* **deficit round-robin** within a class: each visit tops a tenant's
-  deficit counter up by its weight (only when it cannot afford a
-  request), serves while the deficit covers a request (requests cost
-  1.0), and rotates — a weight-2 tenant gets two consecutive turns per
-  round, a weight-0.5 tenant one turn every other round, and a
-  low-traffic tenant's queue wait is bounded by one round regardless of
-  any other tenant's backlog;
+* **per-tenant FIFOs drained round-robin**: each tenant owns one queue,
+  and the tenants with queued work take turns, one request per turn, so
+  one flooding tenant queues behind itself, not in front of everyone
+  else — a quiet tenant waits at most one round;
 * **per-tenant in-flight serialization**: a tenant with a request
   running is skipped by the ring, so its resident
   :class:`~repro.service.project.ProjectState`, fingerprints and health
   are only ever touched by one worker at a time — concurrency lives
   *across* tenants, determinism *within* one;
-* **deadline machinery unchanged**: deadlines are submit-relative and a
-  request that waits out its deadline is answered ``DEADLINE_EXCEEDED``
-  at dispatch, without running;
-* **admission hook**: an optional ``admit`` callable runs under the
-  scheduler lock at submit time (so queue-depth decisions are exact) and
-  may return a complete error response to shed the request;
+* **one queue bound** (``max_queue``): checked under the lock at submit
+  time, so the bound is exact; a request that would exceed it is
+  answered ``OVERLOADED`` with a ``retry_after`` hint instead of queued.
+  Operational methods (:data:`SHED_EXEMPT`) are never shed, and a shed
+  request already past its deadline is answered ``DEADLINE_EXCEEDED``
+  instead (a shed invites a retry, an expired deadline must not);
+* **deadlines**: submit-relative; a request that waits out its deadline
+  is answered ``DEADLINE_EXCEEDED`` at dispatch, without running;
 * **drain-on-stop**: :meth:`stop` answers every still-queued request
   with ``SHUTTING_DOWN`` *immediately* — in-flight requests complete,
   queued ones are not run — so shutdown latency is one request, not one
   queue.
-
-Fault sites: ``service-scheduler`` fires per dispatched request (via the
-daemon's handler) and ``service-admission`` inside the daemon's
-admission hook; see :mod:`repro.resilience.faultinject`.
 """
 
 from __future__ import annotations
@@ -50,10 +40,25 @@ from typing import Callable, Deque, Dict, List, Optional
 from repro.obs import NULL, Collector
 from repro.service.protocol import (
     DEADLINE_EXCEEDED,
-    PRIORITIES,
+    OVERLOADED,
     SHUTTING_DOWN,
     Request,
     error_response,
+)
+
+#: methods the queue bound never sheds: the daemon must stay observable,
+#: registerable and stoppable under overload
+SHED_EXEMPT = frozenset(
+    {
+        "ping",
+        "health",
+        "metrics",
+        "metrics_text",
+        "stats",
+        "register",
+        "tenants",
+        "shutdown",
+    }
 )
 
 
@@ -68,31 +73,16 @@ class _Pending:
         return deadline is not None and (now - self.enqueued) > deadline
 
 
-class _Lane:
-    """One tenant's scheduling state: a FIFO per priority class plus the
-    deficit counters the round-robin spends."""
-
-    __slots__ = ("tenant", "weight", "queues", "deficits")
-
-    def __init__(self, tenant: str, weight: float = 1.0):
-        self.tenant = tenant
-        self.weight = max(1e-3, float(weight))
-        self.queues: Dict[str, Deque[_Pending]] = {p: deque() for p in PRIORITIES}
-        self.deficits: Dict[str, float] = {p: 0.0 for p in PRIORITIES}
-
-    def depth(self) -> int:
-        return sum(len(q) for q in self.queues.values())
-
-
 class FairScheduler:
-    """Worker pool + weighted-fair queues; ``handler(Request) -> dict``.
+    """Worker pool + per-tenant round-robin queues; ``handler(Request) -> dict``.
 
-    ``admit(request, global_depth, tenant_depth)`` (optional) runs under
-    the scheduler lock and returns ``None`` to admit or a complete
-    response dict to reject; ``on_reject(request, response)`` (optional)
-    runs outside the lock for every request answered without being
-    served (sheds, dispatch-time deadline expiry, shutdown flushes) so
-    the daemon can journal them.
+    ``max_queue`` bounds the queued (not in-flight) requests; ``None`` is
+    unbounded. ``admit(request)`` (optional) runs under the scheduler
+    lock before the request is queued and returns ``None`` to admit or a
+    complete response dict to reject; ``on_reject(request, response)``
+    (optional) runs outside the lock for every request answered without
+    being served (rejections, sheds, dispatch-time deadline expiry,
+    shutdown flushes) so the daemon can journal them.
     """
 
     def __init__(
@@ -100,24 +90,30 @@ class FairScheduler:
         handler: Callable[[Request], dict],
         workers: int = 1,
         collector: Optional[Collector] = None,
-        admit: Optional[Callable[[Request, int, int], Optional[dict]]] = None,
+        max_queue: Optional[int] = None,
+        admit: Optional[Callable[[Request], Optional[dict]]] = None,
         on_reject: Optional[Callable[[Request, dict], None]] = None,
-        weight_of: Optional[Callable[[str], float]] = None,
     ):
         self.handler = handler
         self.workers = max(1, int(workers))
         self.collector = collector or NULL
+        self.max_queue = max_queue
         self.admit = admit
         self.on_reject = on_reject
-        self.weight_of = weight_of
         self._cond = threading.Condition()
-        self._lanes: Dict[str, _Lane] = {}
-        #: per-priority rotation order: tenant ids with queued work
-        self._rings: Dict[str, Deque[str]] = {p: deque() for p in PRIORITIES}
+        #: tenant id -> its queued requests; only tenants with queued work,
+        #: so ids that a client makes up cannot grow the map
+        self._queues: Dict[str, Deque[_Pending]] = {}
+        #: rotation order: the keys of ``_queues``
+        self._ring: Deque[str] = deque()
         self._busy: set = set()  # tenants with a request in flight
         self._depth = 0  # queued (not in-flight) requests
         self._threads: List[threading.Thread] = []
         self._stopping = False
+        self.sheds = 0
+        #: exponentially-weighted mean analysis-request duration, fed by
+        #: :meth:`observe`; prices the ``retry_after`` hint of a shed
+        self.ewma_seconds = 0.0
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -140,7 +136,10 @@ class FairScheduler:
         run); new submits are refused."""
         with self._cond:
             self._stopping = True
-            flushed = self._flush_locked()
+            flushed = [p for queue in self._queues.values() for p in queue]
+            self._queues.clear()
+            self._ring.clear()
+            self._depth = 0
             self._cond.notify_all()
         for pending in flushed:
             self._resolve_unserved(
@@ -157,24 +156,13 @@ class FairScheduler:
             thread.join(timeout=timeout)
         self._threads = []
 
-    def _flush_locked(self) -> List[_Pending]:
-        flushed: List[_Pending] = []
-        for lane in self._lanes.values():
-            for queue in lane.queues.values():
-                flushed.extend(queue)
-                queue.clear()
-            lane.deficits = {p: 0.0 for p in PRIORITIES}
-        for ring in self._rings.values():
-            ring.clear()
-        self._depth = 0
-        return flushed
-
     # -- submission ---------------------------------------------------------
 
     def submit(self, request: Request) -> "Future[dict]":
         """Enqueue one request; the returned future resolves to its
         response dict (futures never carry exceptions — a handler crash
         is already a structured error response by the time it lands)."""
+        submitted = time.monotonic()
         future: "Future[dict]" = Future()
         rejection: Optional[dict] = None
         with self._cond:
@@ -185,32 +173,27 @@ class FairScheduler:
                     "daemon is shutting down",
                     trace_id=request.trace_id,
                 )
-            else:
-                lane = self._lanes.get(request.tenant)
-                tenant_depth = lane.depth() if lane is not None else 0
-                if self.admit is not None:
-                    # under the lock on purpose: depth limits must see the
-                    # exact queue state, or two bursts race past the bound
-                    rejection = self.admit(request, self._depth, tenant_depth)
-                if rejection is None:
-                    if lane is None:
-                        lane = self._make_lane(request.tenant)
-                    priority = (
-                        request.priority if request.priority in PRIORITIES else "normal"
+            elif self.admit is not None:
+                rejection = self.admit(request)
+            if rejection is None:
+                # under the lock on purpose: the bound must see the exact
+                # queue state, or two bursts race past it
+                rejection = self._shed_locked(request, submitted)
+            if rejection is None:
+                queue = self._queues.get(request.tenant)
+                if queue is None:
+                    queue = self._queues[request.tenant] = deque()
+                    self._ring.append(request.tenant)
+                queue.append(
+                    _Pending(
+                        request=request,
+                        future=future,
+                        enqueued=time.monotonic(),
                     )
-                    lane.queues[priority].append(
-                        _Pending(
-                            request=request,
-                            future=future,
-                            enqueued=time.monotonic(),
-                        )
-                    )
-                    ring = self._rings[priority]
-                    if request.tenant not in ring:
-                        ring.append(request.tenant)
-                    self._depth += 1
-                    depth = self._depth
-                    self._cond.notify()
+                )
+                self._depth += 1
+                depth = self._depth
+                self._cond.notify()
         if rejection is not None:
             self._resolve_unserved(request, rejection, future)
             return future
@@ -218,38 +201,54 @@ class FairScheduler:
             self.collector.gauge("service.queue-depth", depth)
         return future
 
+    def _shed_locked(self, request: Request, submitted: float) -> Optional[dict]:
+        """The queue bound: ``None`` admits, else the shed (or, past its
+        deadline, the expiry) response. Caller holds the lock."""
+        if (
+            self.max_queue is None
+            or self._depth < self.max_queue
+            or request.method in SHED_EXEMPT
+        ):
+            return None
+        self.sheds += 1
+        deadline = request.deadline_seconds
+        if deadline is not None and (time.monotonic() - submitted) >= deadline:
+            self.collector.count("service.deadline-exceeded")
+            return error_response(
+                request.id,
+                DEADLINE_EXCEEDED,
+                f"deadline of {deadline}s expired at admission",
+                trace_id=request.trace_id,
+            )
+        return error_response(
+            request.id,
+            OVERLOADED,
+            f"queue is full ({self._depth}/{self.max_queue} requests queued)",
+            trace_id=request.trace_id,
+            retry_after=max(0.1, (self._depth + 1) * self.ewma_seconds),
+        )
+
     def call(self, request: Request, timeout: Optional[float] = None) -> dict:
         """Submit and wait: the synchronous convenience used by transports."""
         return self.submit(request).result(timeout=timeout)
 
-    def _make_lane(self, tenant: str) -> _Lane:
-        weight = 1.0
-        if self.weight_of is not None:
-            try:
-                weight = float(self.weight_of(tenant))
-            except Exception:
-                weight = 1.0
-        lane = self._lanes[tenant] = _Lane(tenant, weight=weight)
-        return lane
-
-    def set_weight(self, tenant: str, weight: float) -> None:
+    def observe(self, request: Request, seconds: float) -> None:
+        """Feed one served request's duration into the EWMA that prices
+        ``retry_after``; operational methods are not analysis work."""
+        if request.method in SHED_EXEMPT:
+            return
         with self._cond:
-            lane = self._lanes.get(tenant)
-            if lane is None:
-                lane = self._lanes[tenant] = _Lane(tenant, weight=weight)
+            if self.ewma_seconds == 0.0:
+                self.ewma_seconds = seconds
             else:
-                lane.weight = max(1e-3, float(weight))
+                self.ewma_seconds += 0.2 * (seconds - self.ewma_seconds)
 
     # -- introspection ------------------------------------------------------
 
     def depths(self) -> Dict[str, int]:
         """Queued requests per tenant (snapshot, for metrics/tenants)."""
         with self._cond:
-            return {
-                tenant: lane.depth()
-                for tenant, lane in self._lanes.items()
-                if lane.depth()
-            }
+            return {tenant: len(queue) for tenant, queue in self._queues.items()}
 
     @property
     def depth(self) -> int:
@@ -278,6 +277,26 @@ class FairScheduler:
                     # a parked teammate may now be able to take this
                     # tenant's next request (or any request at all)
                     self._cond.notify_all()
+
+    def _next_locked(self) -> Optional[_Pending]:
+        """Round-robin: the first tenant in the ring with no request in
+        flight serves one request and, if it has more, goes to the back.
+        Caller holds the lock."""
+        ring = self._ring
+        for _ in range(len(ring)):
+            tenant = ring[0]
+            if tenant in self._busy:
+                ring.rotate(-1)
+                continue
+            queue = self._queues[tenant]
+            pending = queue.popleft()
+            if queue:
+                ring.rotate(-1)
+            else:
+                ring.popleft()
+                del self._queues[tenant]
+            return pending
+        return None
 
     def _dispatch(self, pending: _Pending) -> None:
         request = pending.request
@@ -328,61 +347,3 @@ class FairScheduler:
                 self.on_reject(request, response)
             except Exception:
                 pass  # telemetry must never fail the response
-
-    # -- deficit round-robin -------------------------------------------------
-
-    def _next_locked(self) -> Optional[_Pending]:
-        """Pick the next runnable request: strict priority order across
-        classes, deficit round-robin across tenants inside a class,
-        skipping tenants that are busy or whose deficit cannot yet afford
-        a request. Caller holds the lock."""
-        for priority in PRIORITIES:
-            pending = self._take_locked(priority)
-            if pending is not None:
-                return pending
-        return None
-
-    def _take_locked(self, priority: str) -> Optional[_Pending]:
-        ring = self._rings[priority]
-        while ring:
-            any_eligible = False
-            for _ in range(len(ring)):
-                if not ring:
-                    break
-                tenant = ring[0]
-                lane = self._lanes[tenant]
-                queue = lane.queues[priority]
-                if not queue:
-                    # stale ring entry (queue emptied by a flush)
-                    ring.popleft()
-                    lane.deficits[priority] = 0.0
-                    continue
-                if tenant in self._busy:
-                    ring.rotate(-1)
-                    continue
-                any_eligible = True
-                deficit = lane.deficits[priority]
-                if deficit < 1.0:
-                    deficit += lane.weight
-                if deficit >= 1.0:
-                    deficit -= 1.0
-                    pending = queue.popleft()
-                    if not queue:
-                        # an emptied lane leaves the ring with its credit
-                        # zeroed: deficits never accumulate across idle time
-                        ring.popleft()
-                        lane.deficits[priority] = 0.0
-                    else:
-                        lane.deficits[priority] = deficit
-                        if deficit < 1.0:
-                            ring.rotate(-1)
-                        # else: stay at the head — a weight-N tenant gets
-                        # N consecutive turns per round
-                    return pending
-                lane.deficits[priority] = deficit
-                ring.rotate(-1)
-            if not any_eligible:
-                return None
-            # every eligible lane is under-deficit (fractional weights):
-            # run another accumulation round; bounded by ceil(1/min weight)
-        return None

@@ -1,11 +1,11 @@
 """The tenant registry: N resident projects behind one daemon.
 
 Each tenant owns one :class:`~repro.service.project.ProjectState` (plus
-the per-tenant request bookkeeping the daemon used to keep globally:
-detect fingerprints for the incremental delta, the last detect result
-for ``health``, a scheduling weight and served/shed counters). The
-``default`` tenant is the project the daemon was started with, so
-requests that never mention a tenant behave exactly as before.
+the per-tenant request bookkeeping: detect fingerprints for the
+incremental delta, the last detect result for ``health``, and
+served/shed counters). The ``default`` tenant is the project the daemon
+was started with, so requests that never mention a tenant behave
+exactly as before.
 
 Isolation is by construction, not by locking: the scheduler serializes
 requests *within* a tenant (one in flight at a time), so a tenant's
@@ -39,7 +39,6 @@ class TenantState:
 
     tenant_id: str
     state: ProjectState
-    weight: float = 1.0
     #: scope fingerprints from this tenant's last detect, for the
     #: incremental delta (was daemon-global before multi-tenancy)
     fingerprints: Dict[str, str] = field(default_factory=dict)
@@ -52,7 +51,6 @@ class TenantState:
         return {
             "tenant": self.tenant_id,
             "path": self.state.path,
-            "weight": self.weight,
             "generation": self.state.generation,
             "files": len(self.state.files),
             "served": self.served,
@@ -78,30 +76,17 @@ class TenantRegistry:
     def default(self) -> TenantState:
         return self._tenants[DEFAULT_TENANT]
 
-    def get(self, tenant_id: str) -> TenantState:
-        with self._lock:
-            tenant = self._tenants.get(tenant_id)
-        if tenant is None:
-            raise ServiceError(
-                INVALID_PARAMS,
-                f"unknown tenant {tenant_id!r}; register it first "
-                "(method 'register')",
-            )
-        return tenant
-
     def maybe(self, tenant_id: str) -> Optional[TenantState]:
         with self._lock:
             return self._tenants.get(tenant_id)
 
-    def register(
-        self, tenant_id: str, path: str, weight: float = 1.0
-    ) -> TenantState:
+    def register(self, tenant_id: str, path: str) -> TenantState:
         """Register (and load) a project under ``tenant_id``.
 
         Re-registering the same path is a no-op returning the resident
-        tenant (weight still updates); a different path replaces the
-        resident project. The default tenant cannot be re-pointed — it
-        *is* the daemon's project.
+        tenant; a different path replaces the resident project. The
+        default tenant cannot be re-pointed — it *is* the daemon's
+        project.
         """
         resolved = os.path.abspath(path)
         with self._lock:
@@ -115,7 +100,6 @@ class TenantRegistry:
                 "be re-registered to a different path",
             )
         if existing is not None and existing.state.path == resolved:
-            existing.weight = max(1e-3, float(weight))
             return existing
         # load outside the lock: parsing a project can be slow, and a
         # failed load must leave the registry untouched
@@ -128,17 +112,10 @@ class TenantRegistry:
                 f"cannot load project for tenant {tenant_id!r} from "
                 f"{path!r}: {type(exc).__name__}: {exc}",
             ) from exc
-        tenant = TenantState(
-            tenant_id=tenant_id, state=state, weight=max(1e-3, float(weight))
-        )
+        tenant = TenantState(tenant_id=tenant_id, state=state)
         with self._lock:
             self._tenants[tenant_id] = tenant
         return tenant
-
-    def weight_of(self, tenant_id: str) -> float:
-        with self._lock:
-            tenant = self._tenants.get(tenant_id)
-        return tenant.weight if tenant is not None else 1.0
 
     def ids(self) -> List[str]:
         with self._lock:

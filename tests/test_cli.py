@@ -167,6 +167,8 @@ class TestBudgetValidation:
             ["fleet", "fuzz", "--count", "2", "--daemons", "0"],
             ["fleet", "sweep", "FILE", "--mode", "thread", "--workers", "0"],
             ["serve", "FILE", "--workers", "0"],
+            ["serve", "FILE", "--max-queue", "0"],
+            ["serve", "FILE", "--max-queue", "-1"],
             ["detect", "FILE", "--max-retries", "-4"],
             ["fix", "FILE", "--max-retries", "-4"],
             ["stats", "FILE", "--max-retries", "-4"],
@@ -276,6 +278,23 @@ class TestCLISurface:
             build_parser().parse_args([command, buggy_file, "--retry-timeouts"])
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --retry-timeouts" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "FILE", "--quota", "1"],
+            ["serve", "FILE", "--quota-burst", "1"],
+            ["serve", "FILE", "--tenant-max-queue", "1"],
+            ["client", "detect", "--port", "1", "--priority", "high"],
+        ],
+        ids=lambda argv: "-".join(a.strip("-") for a in argv if a != "FILE"),
+    )
+    def test_deleted_scheduling_flags_are_rejected(self, argv, buggy_file, capsys):
+        argv = [buggy_file if a == "FILE" else a for a in argv]
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
     def test_detect_serve_and_watch_share_the_engine_flags(self, tmp_path):
         from repro.cli import _engine_config

@@ -1,9 +1,12 @@
 """Tests for the experiment-runner layer (repro.report.experiments)."""
 
+import re
+
 import pytest
 
 from repro.corpus.apps import corpus_app
 from repro.fuzz import run_campaign
+from repro.service import AnalysisService
 from repro.report.experiments import (
     AppEvaluation,
     ChannelVerdict,
@@ -137,3 +140,66 @@ class TestEffortGate:
             "steps": sum(t.total_steps for t in report.triages),
         }
         assert effort == {"runs": 2178, "steps": 61156}
+
+    def test_daemon_edit_loop_does_the_pinned_work(self, tmp_path):
+        """A daemon serving Docker split into one file per template
+        instance plus ``main.go`` (the project of the ``daemon-edit-loop``
+        benchmark) plans 106 shards. A cold start-and-detect executes all
+        of them; giving one file's first channel a buffer reparses that
+        file, digests every function once and re-executes only the shards
+        whose scope the edit touched."""
+        app = corpus_app("Docker")
+        files = {}
+        calls = []
+        for k, instance in enumerate(app.instances):
+            files[f"inst_{k:03d}.go"] = (
+                "package main\n\n" + instance.code.strip("\n") + "\n"
+            )
+            if instance.driver and not instance.driver.startswith("Test"):
+                calls.append(f"\t{instance.driver}()")
+        files["main.go"] = (
+            "package main\n\nfunc main() {\n" + "\n".join(calls) + "\n}\n"
+        )
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        channel = re.compile(r"make\(chan ([^,()]+?)(?:, *[^)]*)?\)")
+        service = AnalysisService(str(tmp_path), workers=1)
+        counters = service.collector.counters
+        # the cold step counts from construction, so the load's digests too
+        before = {}
+        steps = []
+        try:
+            service.start()
+            for edited in (None, "inst_000.go", "inst_001.go", "inst_002.go"):
+                if edited is not None:
+                    text = files[edited]
+                    match = channel.search(text)
+                    (tmp_path / edited).write_text(
+                        text[: match.start()]
+                        + f"make(chan {match.group(1)}, 1)"
+                        + text[match.end():]
+                    )
+                result = service.call("detect")["result"]
+                steps.append({
+                    "executed": result["shards"]["executed"],
+                    "total": result["shards"]["total"],
+                    "reports": len(result["reports"]),
+                    "reparsed": result["refresh"]["reparsed"],
+                    "digests": counters.get("fingerprint.digests", 0)
+                    - before.get("fingerprint.digests", 0),
+                    "solver_calls": counters.get("solver.calls", 0)
+                    - before.get("solver.calls", 0),
+                })
+                before = dict(counters)
+        finally:
+            service.stop()
+        assert steps == [
+            {"executed": 106, "total": 106, "reports": 72, "reparsed": 0,
+             "digests": 380, "solver_calls": 395},
+            {"executed": 6, "total": 106, "reports": 71, "reparsed": 1,
+             "digests": 380, "solver_calls": 3},
+            {"executed": 7, "total": 106, "reports": 70, "reparsed": 1,
+             "digests": 380, "solver_calls": 4},
+            {"executed": 6, "total": 106, "reports": 69, "reparsed": 1,
+             "digests": 380, "solver_calls": 3},
+        ]

@@ -2,8 +2,8 @@
 
 The end-to-end parity + resume acceptance suite lives in
 ``test_fleet_resume.py``; this file exercises each fleet layer in
-isolation plus the driver's failure handling (backpressure, dispatch
-chaos, supervisor exhaustion).
+isolation plus the driver's failure handling (dispatch chaos,
+supervisor exhaustion).
 """
 
 import json
@@ -30,7 +30,6 @@ from repro.fleet import (
 from repro.fuzz.campaign import run_campaign
 from repro.resilience.faultinject import injected
 from repro.service.daemon import AnalysisService
-from repro.service.protocol import OVERLOADED
 
 
 BUGGY = """package main
@@ -216,55 +215,6 @@ class TestReport:
         assert tel["units_per_second"] == 1.0
 
 
-class _StubClient:
-    """Sheds the first ``sheds`` detect calls with OVERLOADED, then serves."""
-
-    def __init__(self, sheds):
-        self.to_shed = sheds
-        self.calls = []
-
-    def result(self, method, params=None, **kw):
-        self.calls.append((method, params))
-        return {"ok": True}
-
-    def call(self, method, params=None, **kw):
-        self.calls.append((method, params))
-        if self.to_shed > 0:
-            self.to_shed -= 1
-            return {
-                "id": 1,
-                "error": {"code": OVERLOADED, "message": "shed", "retry_after": 0.001},
-            }
-        return {
-            "id": 1,
-            "result": {"code": 0, "health": "ok", "reports": [],
-                       "bmoc": 0, "traditional": 0, "timed_out": False},
-        }
-
-
-class _StubSupervisor:
-    def __init__(self, client):
-        self.daemons = {"d0": object()}
-        self._client = client
-        self.incidents = []
-        self.registered = set()
-
-    def client(self, name):
-        return self._client
-
-    def checkpoint(self, label):
-        pass
-
-    def mark_registered(self, name, tenant):
-        self.registered.add(tenant)
-
-    def is_registered(self, name, tenant):
-        return tenant in self.registered
-
-    def restarts(self):
-        return 0
-
-
 class TestDriver:
     def test_thread_fleet_matches_serial(self, small_corpus, tmp_path):
         plan = plan_corpus(small_corpus)
@@ -277,16 +227,6 @@ class TestDriver:
         assert canonical_bytes(fleet.report()) == canonical_bytes(serial.report())
         # both daemons did work on 4 units
         assert sum(fleet.telemetry()["by_daemon"].values()) == 4
-
-    def test_backpressure_hint_is_honoured(self, small_corpus):
-        plan = plan_corpus(small_corpus)
-        client = _StubClient(sheds=3)
-        result = run_sweep(plan, supervisor=_StubSupervisor(client))
-        assert result.complete()
-        assert result.sheds == 3
-        # every unit was registered exactly once on the single stub daemon
-        registers = [c for c in client.calls if c[0] == "register"]
-        assert len(registers) == 4
 
     def test_dispatch_fault_restarts_daemon_and_redispatches(
         self, small_corpus, tmp_path

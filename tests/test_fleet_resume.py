@@ -10,8 +10,8 @@ The ISSUE-10 acceptance bar, asserted end to end:
 * an edited unit (changed fingerprint) re-runs on resume even though its
   uid completed before.
 
-Daemons run in thread mode here — same wire protocol, admission and
-scheduler as process mode, without interpreter-spawn latency; the CI
+Daemons run in thread mode here — same wire protocol and scheduler as
+process mode, without interpreter-spawn latency; the CI
 ``fleet-smoke`` job covers the process backend.
 """
 

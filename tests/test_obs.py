@@ -538,3 +538,22 @@ def test_summarize_and_render_top(tmp_path):
     assert "cache hit rate" in text and "75%" in text
     assert "detect" in text and "stats" in text
     assert render_top([]).startswith("repro top: journal is empty")
+
+
+def test_summarize_counts_old_quota_outcomes_as_sheds():
+    """Journals written while the daemon had a token-bucket quota hold
+    ``quota`` outcomes; they stay sheds, not errors."""
+    from repro.obs import request_record, summarize
+
+    records = [
+        request_record(
+            trace_id=f"tr{i}", method="detect", outcome=outcome,
+            elapsed_seconds=0.0, tenant="b",
+        )
+        for i, outcome in enumerate(["ok", "overloaded", "quota"])
+    ]
+    summary = summarize(records)
+    assert summary["sheds"] == 2
+    assert summary["error_rate"] == 0.0
+    assert summary["by_tenant"]["b"]["sheds"] == 2
+    assert summary["by_tenant"]["b"]["served"] == 1

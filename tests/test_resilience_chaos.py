@@ -3,8 +3,7 @@
 The resilience contract under test: a single-site fault loses *at most*
 the faulted analysis unit — every other unit's report is byte-identical
 to the fault-free run — cache faults never lose a report, and an
-injected crash in the daemon's admission path stays with the faulted
-tenant.
+injected crash in one tenant's daemon request stays with that tenant.
 """
 
 from __future__ import annotations
@@ -173,9 +172,9 @@ class TestStrictFlip:
 
 
 class TestAdmissionChaos:
-    """The daemon's admission/scheduling path is itself a fault site:
-    an injected crash there must become a structured incident on *that
-    tenant's* response while the daemon keeps serving other tenants."""
+    """An injected crash in one tenant's request must become a structured
+    incident on *that tenant's* response while the daemon keeps serving
+    other tenants."""
 
     BUGGY = (
         "package main\n\nfunc main() {\n\tch := make(chan int)\n"
@@ -198,7 +197,7 @@ class TestAdmissionChaos:
         yield service
         service.stop()
 
-    @pytest.mark.parametrize("site", ["service-admission", "service-scheduler"])
+    @pytest.mark.parametrize("site", ["service-request"])
     def test_injected_crash_isolated_to_faulted_tenant(
         self, two_tenant_service, site
     ):

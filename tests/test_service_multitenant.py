@@ -24,7 +24,7 @@ from repro.cli import main as cli_main
 from repro.corpus.bugset import build_bug_set
 from repro.obs import filter_records, render_top, summarize
 from repro.service import AnalysisService, Request
-from repro.service.protocol import INVALID_PARAMS
+from repro.service.protocol import INVALID_PARAMS, OVERLOADED
 
 BUGGY = """package main
 
@@ -96,11 +96,6 @@ class TestTenantRegistry:
         try:
             no_path = service.call("register", {"tenant": "b"})
             assert no_path["error"]["code"] == INVALID_PARAMS
-            bad_weight = service.call(
-                "register",
-                {"tenant": "b", "path": buggy_file, "weight": True},
-            )
-            assert bad_weight["error"]["code"] == INVALID_PARAMS
             missing = service.call(
                 "register",
                 {"tenant": "b", "path": str(tmp_path / "nope.go")},
@@ -118,19 +113,14 @@ class TestTenantRegistry:
         finally:
             service.stop()
 
-    def test_reregister_same_path_updates_weight(self, buggy_file, tmp_path):
+    def test_reregister_same_path_is_a_noop(self, buggy_file, tmp_path):
         clean = tmp_path / "clean.go"
         clean.write_text(CLEAN)
         service = AnalysisService(buggy_file, workers=1).start()
         try:
             first = ok(service.call("register", {"tenant": "b", "path": str(clean)}))
-            again = ok(
-                service.call(
-                    "register", {"tenant": "b", "path": str(clean), "weight": 3}
-                )
-            )
-            assert again["weight"] == 3.0
-            assert first["generation"] == again["generation"]
+            again = ok(service.call("register", {"tenant": "b", "path": str(clean)}))
+            assert again == first
             assert ok(service.call("ping"))["tenants"] == 2
         finally:
             service.stop()
@@ -264,20 +254,33 @@ class TestTenantTelemetry:
         clean.write_text(CLEAN)
         journal_path = tmp_path / "journal.jsonl"
         service = AnalysisService(
-            buggy_file,
-            workers=1,
-            journal_path=str(journal_path),
-            quota=1e-9,
-            quota_burst=2.0,
+            buggy_file, workers=1, journal_path=str(journal_path), max_queue=1
         ).start()
+        gate, started = threading.Event(), threading.Event()
+        detect = service._method_detect
+
+        def gated_detect(params, ctx):
+            if ctx.tenant.tenant_id == "default":
+                started.set()
+                gate.wait(timeout=5)
+            return detect(params, ctx)
+
         try:
             ok(service.call("register", {"tenant": "b", "path": str(clean)}))
-            ok(service.call("detect"))
-            ok(service.call("detect", tenant="b"))
-            ok(service.call("detect", tenant="b"))
+            service._method_detect = gated_detect
+            running = service.queue.submit(Request(id="r", method="detect"))
+            started.wait(timeout=5)  # in flight, not queued
+            queued = service.queue.submit(Request(id="q", method="detect", tenant="b"))
             shed = service.call("detect", tenant="b")
-            assert shed["error"]["code"] is not None
+            assert shed["error"]["code"] == OVERLOADED
+            gate.set()
+            ok(running.result(timeout=5))
+            ok(queued.result(timeout=5))
+            ok(service.call("detect", tenant="b"))
+            assert service.tenants.maybe("b").shed == 1
+            assert service.tenants.maybe("default").shed == 0
         finally:
+            gate.set()
             service.stop()
         records = service.journal.read()
         detects = [r for r in records if r["method"] == "detect"]

@@ -1,13 +1,12 @@
-"""Tests for the weighted-fair scheduler and admission control.
+"""Tests for the round-robin scheduler and its queue bound.
 
 The multi-tenant daemon's contract under test:
 
-* deficit round-robin interleaves tenants by weight (a weight-2 tenant
-  gets two turns per round) and strict priority classes drain first;
+* round-robin interleaves tenants, one request per turn;
 * one tenant's requests never run concurrently, different tenants' do;
 * shutdown drains: in-flight requests complete, still-queued requests
   are answered with a structured SHUTTING_DOWN error immediately;
-* admission sheds with structured OVERLOADED/QUOTA_EXCEEDED (plus a
+* the queue bound sheds with a structured OVERLOADED (plus a
   retry_after hint) instead of queueing — and a request that is both
   sheddable and past its deadline reports DEADLINE_EXCEEDED (the
   deadline wins), under one worker and under four;
@@ -15,24 +14,17 @@ The multi-tenant daemon's contract under test:
   wait stays bounded by one round-robin round.
 """
 
+import sys
 import threading
 import time
 
 import pytest
 
-from repro.resilience.faultinject import injected
-from repro.service import AnalysisService, FairScheduler, Request
-from repro.service.admission import (
-    ADMISSION_EXEMPT,
-    AdmissionConfig,
-    AdmissionController,
-    TokenBucket,
-)
+from repro.service import SHED_EXEMPT, AnalysisService, FairScheduler, Request
 from repro.service.protocol import (
     DEADLINE_EXCEEDED,
     INVALID_PARAMS,
     OVERLOADED,
-    QUOTA_EXCEEDED,
     SHUTTING_DOWN,
 )
 
@@ -59,7 +51,7 @@ def ok(response):
     return response["result"]
 
 
-def plugged_scheduler(order, release, workers=1):
+def plugged_scheduler(order, release, workers=1, max_queue=None):
     """A scheduler whose first request blocks until ``release`` is set, so
     tests can build a backlog and then observe the exact drain order."""
 
@@ -69,7 +61,7 @@ def plugged_scheduler(order, release, workers=1):
         order.append((request.tenant, request.id))
         return {"id": request.id, "result": {}}
 
-    scheduler = FairScheduler(handler, workers=workers)
+    scheduler = FairScheduler(handler, workers=workers, max_queue=max_queue)
     scheduler.start()
     return scheduler
 
@@ -78,27 +70,6 @@ def plugged_scheduler(order, release, workers=1):
 
 
 class TestFairScheduler:
-    def test_weighted_deficit_round_robin(self):
-        """A weight-2 tenant is served twice per round: a,a,b,a,a,b."""
-        order, release = [], threading.Event()
-        scheduler = plugged_scheduler(order, release)
-        scheduler.set_weight("a", 2.0)
-        plug = scheduler.submit(Request(id="plug", method="ping", tenant="plug"))
-        futures = [
-            scheduler.submit(Request(id=f"a{i}", method="ping", tenant="a"))
-            for i in range(6)
-        ] + [
-            scheduler.submit(Request(id=f"b{i}", method="ping", tenant="b"))
-            for i in range(3)
-        ]
-        release.set()
-        plug.result(timeout=5)
-        for future in futures:
-            future.result(timeout=5)
-        scheduler.stop()
-        drained = [tenant for tenant, _ in order if tenant != "plug"]
-        assert drained == ["a", "a", "b", "a", "a", "b", "a", "a", "b"]
-
     def test_equal_weights_alternate(self):
         order, release = [], threading.Event()
         scheduler = plugged_scheduler(order, release)
@@ -114,26 +85,6 @@ class TestFairScheduler:
         scheduler.stop()
         drained = [tenant for tenant, _ in order if tenant != "plug"]
         assert drained == ["a", "b", "a", "b", "a", "b"]
-
-    def test_priority_classes_drain_first(self):
-        """Strict classes: every queued high runs before any normal, every
-        normal before any low — regardless of arrival order."""
-        order, release = [], threading.Event()
-        scheduler = plugged_scheduler(order, release)
-        plug = scheduler.submit(Request(id="plug", method="ping", tenant="plug"))
-        futures = [
-            scheduler.submit(
-                Request(id=f"{prio}{i}", method="ping", tenant="a", priority=prio)
-            )
-            for i, prio in enumerate(["low", "normal", "high", "low", "high"])
-        ]
-        release.set()
-        plug.result(timeout=5)
-        for future in futures:
-            future.result(timeout=5)
-        scheduler.stop()
-        drained = [rid for tenant, rid in order if tenant != "plug"]
-        assert drained == ["high2", "high4", "normal1", "low0", "low3"]
 
     def test_flooding_tenant_cannot_starve_quiet_one(self):
         """DRR bounds a quiet tenant's wait to one round: its request is
@@ -237,87 +188,122 @@ class TestFairScheduler:
         assert sorted(rejected) == ["q0", "q1", "q2"]
 
 
-# -- admission units --------------------------------------------------------
+# -- the queue bound ---------------------------------------------------------
 
 
-class TestTokenBucket:
-    def test_burst_then_reject_with_retry_after(self):
-        clock = [0.0]
-        bucket = TokenBucket(rate=2.0, burst=2.0, clock=lambda: clock[0])
-        assert bucket.take() is None
-        assert bucket.take() is None
-        retry = bucket.take()
-        assert retry is not None and retry == pytest.approx(0.5)
-
-    def test_refills_over_time(self):
-        clock = [0.0]
-        bucket = TokenBucket(rate=1.0, burst=1.0, clock=lambda: clock[0])
-        assert bucket.take() is None
-        assert bucket.take() is not None
-        clock[0] = 1.5
-        assert bucket.take() is None
-
-    def test_zero_rate_admits_only_burst(self):
-        clock = [0.0]
-        bucket = TokenBucket(rate=0.0, burst=1.0, clock=lambda: clock[0])
-        assert bucket.take() is None
-        assert bucket.take() == 60.0
+def fill(scheduler, depth):
+    """Plug the single worker, then queue ``depth`` detects behind it."""
+    plug = scheduler.submit(Request(id="plug", method="detect", tenant="plug"))
+    deadline = time.monotonic() + 5
+    while scheduler.depth:  # until the worker takes the plug: in flight
+        assert time.monotonic() < deadline, "the worker never took the plug"
+        time.sleep(0.001)
+    queued = [
+        scheduler.submit(Request(id=f"q{i}", method="detect", tenant=f"t{i}"))
+        for i in range(depth)
+    ]
+    return [plug] + queued
 
 
-class TestAdmissionController:
-    def controller(self, **kwargs):
-        return AdmissionController(AdmissionConfig(**kwargs))
-
-    def test_admits_under_limits(self):
-        control = self.controller(max_queue=4)
-        request = Request(id=1, method="detect")
-        assert control.decide(request, global_depth=3, tenant_depth=3) is None
-
+class TestQueueBound:
     def test_global_depth_sheds_overloaded(self):
-        control = self.controller(max_queue=4)
-        rejection = control.decide(
-            Request(id=1, method="detect"), global_depth=4, tenant_depth=0
-        )
-        assert rejection is not None
-        assert rejection.code == OVERLOADED
-        assert rejection.retry_after > 0
-        assert control.sheds == 1
-
-    def test_tenant_depth_sheds_before_quota(self):
-        control = self.controller(tenant_max_queue=2, quota_rate=100.0)
-        rejection = control.decide(
-            Request(id=1, method="detect"), global_depth=5, tenant_depth=2
-        )
-        assert rejection.code == OVERLOADED
-        assert "tenant" in rejection.message
-
-    def test_quota_sheds_per_tenant(self):
-        control = self.controller(quota_rate=1e-9, quota_burst=1.0)
-        a1 = Request(id=1, method="detect", tenant="a")
-        assert control.decide(a1, 0, 0) is None
-        rejection = control.decide(a1, 0, 0)
-        assert rejection.code == QUOTA_EXCEEDED
-        # quota buckets are per tenant: b still has its burst
-        assert control.decide(Request(id=2, method="detect", tenant="b"), 0, 0) is None
-
-    def test_degraded_sheds_low_priority_first(self):
-        control = self.controller()
-        low = Request(id=1, method="detect", priority="low")
-        normal = Request(id=2, method="detect")
-        assert control.decide(low, 0, 0, degraded=True).code == OVERLOADED
-        assert control.decide(normal, 0, 0, degraded=True) is None
+        """The bound counts queued requests of every tenant together."""
+        order, release = [], threading.Event()
+        scheduler = plugged_scheduler(order, release, max_queue=2)
+        try:
+            admitted = fill(scheduler, 2)
+            shed = scheduler.submit(Request(id=1, method="detect", tenant="new"))
+            response = shed.result(timeout=5)
+            assert response["error"]["code"] == OVERLOADED
+            assert response["error"]["message"] == (
+                "queue is full (2/2 requests queued)"
+            )
+            assert response["error"]["retry_after"] > 0
+            assert scheduler.sheds == 1
+            release.set()
+            for future in admitted:
+                assert "result" in future.result(timeout=5)
+        finally:
+            release.set()
+            scheduler.stop()
 
     def test_operational_methods_exempt(self):
-        control = self.controller(max_queue=0)
-        for method in sorted(ADMISSION_EXEMPT):
-            request = Request(id=1, method=method)
-            assert control.decide(request, global_depth=99, tenant_depth=99) is None
+        order, release = [], threading.Event()
+        scheduler = plugged_scheduler(order, release, max_queue=1)
+        try:
+            fill(scheduler, 1)
+            exempt = [
+                scheduler.submit(Request(id=method, method=method))
+                for method in sorted(SHED_EXEMPT)
+            ]
+            assert scheduler.depth == 1 + len(SHED_EXEMPT)
+            assert scheduler.sheds == 0
+            release.set()
+            for future in exempt:
+                assert "result" in future.result(timeout=5)
+        finally:
+            release.set()
+            scheduler.stop()
 
     def test_ewma_prices_retry_after(self):
-        control = self.controller(max_queue=0)
-        control.observe_duration(2.0)
-        rejection = control.decide(Request(id=1, method="detect"), 3, 0)
-        assert rejection.retry_after == pytest.approx((3 + 1) * 2.0)
+        order, release = [], threading.Event()
+        scheduler = plugged_scheduler(order, release, max_queue=3)
+        try:
+            scheduler.observe(Request(id=1, method="detect"), 2.0)
+            # operational methods are not analysis work: the EWMA ignores them
+            scheduler.observe(Request(id=2, method="ping"), 100.0)
+            fill(scheduler, 3)
+            shed = scheduler.submit(Request(id=3, method="detect"))
+            retry_after = shed.result(timeout=5)["error"]["retry_after"]
+            assert retry_after == pytest.approx((3 + 1) * 2.0)
+        finally:
+            release.set()
+            scheduler.stop()
+
+    def test_concurrent_submitters_keep_the_counts_exact(self):
+        """Stress: 8 submitting threads against 4 workers (more than the
+        cores of a small host) under a tiny switch interval. Every request
+        is served or shed, the shed count equals the OVERLOADED answers,
+        and the queue drains to zero: no update to the shared queue state
+        is lost."""
+        served, futures = [], []
+        lock = threading.Lock()
+
+        def handler(request):
+            with lock:
+                served.append(request.id)
+            return {"id": request.id, "result": {}}
+
+        def submit(worker):
+            for i in range(50):
+                future = scheduler.submit(
+                    Request(id=f"{worker}-{i}", method="detect", tenant=f"t{i % 5}")
+                )
+                with lock:
+                    futures.append(future)
+
+        scheduler = FairScheduler(handler, workers=4, max_queue=3)
+        scheduler.start()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=submit, args=(w,)) for w in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            responses = [future.result(timeout=30) for future in futures]
+            drained = (scheduler.depth, scheduler.depths())
+        finally:
+            sys.setswitchinterval(interval)
+            scheduler.stop()
+        shed = [r for r in responses if "error" in r]
+        assert all(r["error"]["code"] == OVERLOADED for r in shed)
+        assert len(shed) == scheduler.sheds
+        assert len(served) + len(shed) == 8 * 50
+        assert sorted(served) == sorted(r["id"] for r in responses if "result" in r)
+        assert drained == (0, {})
 
 
 # -- daemon-level overload behavior -----------------------------------------
@@ -364,77 +350,29 @@ class TestDaemonAdmission:
             gate.set()
             service.stop()
 
-    def test_tenant_max_queue_is_per_tenant(self, buggy_file, tmp_path):
-        other = tmp_path / "other.go"
-        other.write_text(BUGGY)
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_deadline_wins_over_shed(self, buggy_file, workers):
+        """A request that is both over the queue bound and past its
+        deadline must deterministically report DEADLINE_EXCEEDED, serial
+        or concurrent: the tenant's first request is in flight and its
+        second fills the queue, whatever the worker count."""
         gate, started = threading.Event(), threading.Event()
-        service = AnalysisService(buggy_file, workers=1, tenant_max_queue=1).start()
+        service = AnalysisService(buggy_file, workers=workers, max_queue=1).start()
         try:
-            ok(service.call("register", {"tenant": "b", "path": str(other)}))
             service._method_detect = fast_detect(gate, started)
             running = service.queue.submit(Request(id="r", method="detect"))
             started.wait(timeout=5)  # in flight, not queued
             queued = service.queue.submit(Request(id="q", method="detect"))
-            shed = service.queue.submit(Request(id="s", method="detect"))
-            response = shed.result(timeout=5)
-            assert response["error"]["code"] == OVERLOADED
-            # the default tenant's full lane does not block tenant b
-            admitted = service.queue.submit(
-                Request(id="b1", method="detect", tenant="b")
-            )
-            gate.set()
-            for future in (running, queued, admitted):
-                assert "result" in future.result(timeout=5)
-            assert service.tenants.get("default").shed == 1
-            assert service.tenants.get("b").shed == 0
-        finally:
-            gate.set()
-            service.stop()
-
-    def test_quota_sheds_with_retry_after(self, buggy_file):
-        service = AnalysisService(
-            buggy_file, workers=1, quota=1e-9, quota_burst=2.0
-        ).start()
-        try:
-            service._method_detect = fast_detect()
-            assert "result" in service.call("detect")
-            assert "result" in service.call("detect")
-            response = service.call("detect")
-            assert response["error"]["code"] == QUOTA_EXCEEDED
-            assert response["error"]["retry_after"] > 0
-            assert service.collector.counters.get("service.shed.quota") == 1
-        finally:
-            service.stop()
-
-    def test_degraded_health_sheds_low_priority_first(self, buggy_file):
-        service = AnalysisService(buggy_file, workers=1).start()
-        try:
-            service._method_detect = fast_detect()
-            with injected("service-request@ping:raise:times=1"):
-                crashed = service.call("ping")
-            assert crashed["error"]["incident"]["site"] == "service-request"
-            low = service.call("detect", priority="low")
-            assert low["error"]["code"] == OVERLOADED
-            assert "low-priority" in low["error"]["message"]
-            assert "result" in service.call("detect", priority="normal")
-        finally:
-            service.stop()
-
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_deadline_wins_over_shed(self, buggy_file, workers):
-        """A request that is both over-quota and past its deadline must
-        deterministically report DEADLINE_EXCEEDED, serial or concurrent."""
-        service = AnalysisService(
-            buggy_file, workers=workers, quota=1e-9, quota_burst=1.0
-        ).start()
-        try:
-            service._method_detect = fast_detect()
-            assert "result" in service.call("detect")  # burns the burst
-            over_quota = service.call("detect")
-            assert over_quota["error"]["code"] == QUOTA_EXCEEDED
+            over_bound = service.call("detect")
+            assert over_bound["error"]["code"] == OVERLOADED
             both = service.call("detect", deadline_seconds=1e-9)
             assert both["error"]["code"] == DEADLINE_EXCEEDED
+            assert "expired at admission" in both["error"]["message"]
+            gate.set()
+            for future in (running, queued):
+                assert "result" in future.result(timeout=5)
         finally:
+            gate.set()
             service.stop()
 
     def test_unknown_tenant_rejected_at_admission(self, buggy_file):
