@@ -8,7 +8,10 @@ smoke job included — branch on them. ``run()`` therefore coerces whatever
 ``sys.exit``'s permissive argument handling (``sys.exit(None)`` is 0 but
 ``sys.exit("3")`` would be 1-with-a-printed-string), and maps Ctrl-C —
 the normal way to stop ``serve``/``watch`` — to the conventional 130
-rather than a KeyboardInterrupt traceback.
+rather than a KeyboardInterrupt traceback. Likewise, output into a pipe
+whose reader has gone (``repro table1 | head -1``) exits 141 (128 +
+SIGPIPE) without a traceback; ``repro.cli.main`` maps that one itself, so
+the ``gcatch-repro`` script exits the same way.
 """
 
 import sys

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from typing import List, Optional
 
@@ -59,6 +60,11 @@ EXIT_TIMEOUT = 3
 #: with this code; in the default mode only a ``failed`` health verdict
 #: (every unit lost) does. Takes precedence over EXIT_TIMEOUT and 1.
 EXIT_INCIDENT = 4
+
+#: stdout's reader went away before the output was written (``repro
+#: table1 | head -1``): 128 + SIGPIPE, as a shell reports a process the
+#: signal killed, with no traceback
+EXIT_BROKEN_PIPE = 141
 
 
 def _load(path: str, collector: Optional[Collector] = None) -> Project:
@@ -304,8 +310,6 @@ def cmd_diffcheck(args: argparse.Namespace) -> int:
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
     """Generative differential fuzz campaign over seeded MiniGo programs."""
-    import os
-
     from repro.fuzz import (
         BUCKET_UNEXPLAINED,
         generate_program,
@@ -443,8 +447,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def _journal_path(args: argparse.Namespace) -> Optional[str]:
     """The telemetry journal path: --journal flag, else REPRO_JOURNAL."""
-    import os
-
     path = getattr(args, "journal", None)
     return path if path else os.environ.get("REPRO_JOURNAL") or None
 
@@ -546,8 +548,6 @@ def cmd_client(args: argparse.Namespace) -> int:
 def cmd_top(args: argparse.Namespace) -> int:
     """Render throughput/latency/cache/incident aggregates from the
     daemon's telemetry journal (works on a stopped daemon's journal too)."""
-    import os
-
     from repro.obs import TelemetryJournal, filter_records, render_top, summarize
 
     path = _journal_path(args)
@@ -590,8 +590,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     supervisor checkpoint kill or an unrecoverable daemon); resume by
     re-running with the same ``--manifest``.
     """
-    import os
-
     from repro import fleet
 
     if args.fleet_command == "corpus":
@@ -1035,6 +1033,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     armed = _activate_faults(args)
     try:
         code = args.func(args)
+        # a closed pipe surfaces here, not in the interpreter's exit flush
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout now writes to devnull, so the exit-time flush cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     finally:
         if armed:
             from repro.resilience import deactivate

@@ -31,6 +31,7 @@ from repro.obs import (
     STAGE_DEPGRAPH,
     STAGE_DISENTANGLE,
     STAGE_ENCODE,
+    STAGE_LOCKSETS,
     STAGE_PATH_ENUM,
     STAGE_SOLVE,
     STAGE_SUSPICIOUS,
@@ -45,6 +46,7 @@ from repro.detector.paths import (
 )
 from repro.detector.reporting import BlockedOp, BugReport, dedup_reports
 from repro.detector.suspicious import enumerate_groups
+from repro.detector.traditional.locksets import LockFacts
 from repro.resilience.faultinject import maybe_fault
 
 
@@ -159,6 +161,9 @@ class BMOCDetector:
         # consumed by the engine's fingerprinting pass
         self._def_counts = _definition_counts(program)
         self._pset_memo: Dict[int, List[Primitive]] = {}
+        # shared across the lock checkers: at most one LockFacts, created
+        # here so that every for_shard clone fills and reads the same list
+        self._lock_memo: List[LockFacts] = []
 
     def pset_of(self, channel: Primitive) -> List[Primitive]:
         """The channel's Pset (paper §4.2), derived once and shared between
@@ -168,6 +173,19 @@ class BMOCDetector:
             pset = compute_pset(channel, self.dep_graph, self.scopes)
             self._pset_memo[id(channel)] = pset
         return pset
+
+    def lock_facts(self) -> LockFacts:
+        """The program's lock facts (paper §3.5), shared by the four lock
+        checkers: the first of their shards to run walks every function
+        inside a ``locksets`` span, and the rest reuse its walk. A walk
+        that raises is not kept, so each shard that needs it fails on its
+        own."""
+        if not self._lock_memo:
+            with self.collector.span(STAGE_LOCKSETS):
+                facts = LockFacts(self.program, self.alias)
+            self.collector.count("locksets.functions", len(self.program.functions))
+            self._lock_memo.append(facts)
+        return self._lock_memo[0]
 
     def for_shard(self, collector) -> "BMOCDetector":
         """A shallow clone sharing every analysis artifact but reporting

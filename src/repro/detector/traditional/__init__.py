@@ -2,7 +2,9 @@
 
 :data:`TRADITIONAL_CHECKERS` fixes the pipeline order (report order and
 dedup depend on it). :func:`run_checker` is the single name → checker
-dispatch behind the engine's traditional shards.
+dispatch behind the engine's traditional shards. The four lock checkers
+read the detector's shared lock facts (``BMOCDetector.lock_facts``), so a
+detect walks each function once however many of them run.
 """
 
 from __future__ import annotations
@@ -10,18 +12,18 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Tuple
 
 from repro.detector.reporting import BugReport
-from repro.detector.traditional.double_lock import check_double_lock
+from repro.detector.traditional.double_lock import double_lock_reports
 from repro.detector.traditional.fatal_goroutine import check_fatal_goroutine
-from repro.detector.traditional.forget_unlock import check_forget_unlock
-from repro.detector.traditional.lock_order import check_lock_order
-from repro.detector.traditional.struct_race import check_struct_races
+from repro.detector.traditional.forget_unlock import forget_unlock_reports
+from repro.detector.traditional.lock_order import lock_order_reports
+from repro.detector.traditional.struct_race import struct_race_reports
 
 #: checker name -> runner over (program, BMOCDetector), in pipeline order
 _RUNNERS: Dict[str, Callable] = {
-    "forget-unlock": lambda program, bmoc: check_forget_unlock(program, bmoc.alias),
-    "double-lock": lambda program, bmoc: check_double_lock(program, bmoc.alias),
-    "conflict-lock": lambda program, bmoc: check_lock_order(program, bmoc.alias),
-    "struct-race": lambda program, bmoc: check_struct_races(program, bmoc.alias),
+    "forget-unlock": lambda program, bmoc: forget_unlock_reports(bmoc.lock_facts()),
+    "double-lock": lambda program, bmoc: double_lock_reports(bmoc.lock_facts()),
+    "conflict-lock": lambda program, bmoc: lock_order_reports(bmoc.lock_facts()),
+    "struct-race": lambda program, bmoc: struct_race_reports(bmoc.lock_facts()),
     "fatal-goroutine": lambda program, bmoc: check_fatal_goroutine(
         program, bmoc.call_graph
     ),
@@ -31,8 +33,8 @@ TRADITIONAL_CHECKERS: Tuple[str, ...] = tuple(_RUNNERS)
 
 
 def run_checker(name: str, program, bmoc) -> List[BugReport]:
-    """Run one checker by name over ``program``, reusing the alias and
-    call-graph results already computed by the BMOC detector ``bmoc``."""
+    """Run one checker by name over ``program``, reusing the alias,
+    call-graph and lock-fact results of the BMOC detector ``bmoc``."""
     runner = _RUNNERS.get(name)
     if runner is None:
         raise ValueError(

@@ -7,38 +7,44 @@ from typing import List, Set, Tuple
 
 from repro.analysis.alias import AliasAnalysis
 from repro.detector.reporting import BlockedOp, BugReport
-from repro.detector.traditional.locksets import lock_summary, walk_function
+from repro.detector.traditional.locksets import CallWhileHolding, LockAcquire, LockFacts
 from repro.ssa import ir
 
 
 def check_double_lock(program: ir.Program, alias: AliasAnalysis) -> List[BugReport]:
+    return double_lock_reports(LockFacts(program, alias))
+
+
+def double_lock_reports(facts: LockFacts) -> List[BugReport]:
     reports: List[BugReport] = []
     seen: Set[Tuple] = set()
-    summary = lock_summary(program, alias)
-    for func in program:
-        for path in walk_function(func, alias):
-            # intra-procedural: a Lock while the same site is already held
-            for site, line in path.double_locks:
-                key = (func.name, str(site), line)
-                if key not in seen:
-                    seen.add(key)
-                    reports.append(_report(func.name, site, line, "re-locked on the same path"))
+    summary = facts.summary
+    for name, event in facts.events:
+        if isinstance(event, LockAcquire):
+            continue
+        if isinstance(event, CallWhileHolding):
             # inter-procedural: a call made while holding a site the callee
             # may itself acquire
-            for call in path.calls:
-                callee_locks = summary.get(call.callee, set())
-                for site in call.held & callee_locks:
-                    key = (func.name, str(site), call.line, call.callee)
-                    if key not in seen:
-                        seen.add(key)
-                        reports.append(
-                            _report(
-                                func.name,
-                                site,
-                                call.line,
-                                f"held across call to {call.callee} which locks it again",
-                            )
+            callee_locks = summary.get(event.callee, set())
+            for site in event.held & callee_locks:
+                key = (name, str(site), event.line, event.callee)
+                if key not in seen:
+                    seen.add(key)
+                    reports.append(
+                        _report(
+                            name,
+                            site,
+                            event.line,
+                            f"held across call to {event.callee} which locks it again",
                         )
+                    )
+            continue
+        # intra-procedural: a Lock while the same site is already held
+        site, line = event
+        key = (name, str(site), line)
+        if key not in seen:
+            seen.add(key)
+            reports.append(_report(name, site, line, "re-locked on the same path"))
     return reports
 
 

@@ -3,50 +3,36 @@ lock-without-unlock (paper §3.5, Table 1 column "Forget Unlock")."""
 
 from __future__ import annotations
 
-from typing import List, Set, Tuple
+from typing import List
 
 from repro.analysis.alias import AliasAnalysis
 from repro.detector.reporting import BlockedOp, BugReport
-from repro.detector.traditional.locksets import walk_function
+from repro.detector.traditional.locksets import LockFacts
 from repro.ssa import ir
 
 
 def check_forget_unlock(program: ir.Program, alias: AliasAnalysis) -> List[BugReport]:
-    reports: List[BugReport] = []
-    seen: Set[Tuple] = set()
-    for func in program:
-        for path in walk_function(func, alias):
-            for ret in path.returns:
-                for site in ret.held:
-                    acquire_line = _acquire_line(path, site)
-                    key = (func.name, str(site), acquire_line)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    reports.append(
-                        BugReport(
-                            category="forget-unlock",
-                            primitive=None,
-                            blocked_ops=[
-                                BlockedOp(
-                                    kind="lock",
-                                    line=acquire_line,
-                                    function=func.name,
-                                    prim_label=site.label,
-                                )
-                            ],
-                            description=(
-                                f"{func.name} returns at line {ret.line} still holding "
-                                f"{site.label!r} locked at line {acquire_line}"
-                            ),
-                            extra_lines=[ret.line],
-                        )
-                    )
-    return reports
+    return forget_unlock_reports(LockFacts(program, alias))
 
 
-def _acquire_line(path, site) -> int:
-    for acquire in reversed(path.acquires):
-        if acquire.site == site:
-            return acquire.line
-    return 0
+def forget_unlock_reports(facts: LockFacts) -> List[BugReport]:
+    return [
+        BugReport(
+            category="forget-unlock",
+            primitive=None,
+            blocked_ops=[
+                BlockedOp(
+                    kind="lock",
+                    line=acquire_line,
+                    function=name,
+                    prim_label=site.label,
+                )
+            ],
+            description=(
+                f"{name} returns at line {return_line} still holding "
+                f"{site.label!r} locked at line {acquire_line}"
+            ),
+            extra_lines=[return_line],
+        )
+        for name, (site, acquire_line, return_line) in facts.unreleased
+    ]

@@ -7,25 +7,28 @@ from typing import Dict, List, Set, Tuple
 
 from repro.analysis.alias import AliasAnalysis, Site
 from repro.detector.reporting import BlockedOp, BugReport
-from repro.detector.traditional.locksets import lock_summary, walk_function
+from repro.detector.traditional.locksets import CallWhileHolding, LockAcquire, LockFacts
 from repro.ssa import ir
 
 
 def check_lock_order(program: ir.Program, alias: AliasAnalysis) -> List[BugReport]:
+    return lock_order_reports(LockFacts(program, alias))
+
+
+def lock_order_reports(facts: LockFacts) -> List[BugReport]:
     # collect acquisition-order edges: (outer site -> inner site, where)
     edges: Dict[Tuple[Site, Site], Tuple[str, int]] = {}
-    summary = lock_summary(program, alias)
-    for func in program:
-        for path in walk_function(func, alias):
-            for acquire in path.acquires:
-                for outer in acquire.held_before:
-                    if outer != acquire.site:
-                        edges.setdefault((outer, acquire.site), (func.name, acquire.line))
-            for call in path.calls:
-                for inner in summary.get(call.callee, set()):
-                    for outer in call.held:
-                        if outer != inner:
-                            edges.setdefault((outer, inner), (func.name, call.line))
+    summary = facts.summary
+    for name, event in facts.events:
+        if isinstance(event, LockAcquire):
+            for outer in event.held_before:
+                if outer != event.site:
+                    edges.setdefault((outer, event.site), (name, event.line))
+        elif isinstance(event, CallWhileHolding):
+            for inner in summary.get(event.callee, set()):
+                for outer in event.held:
+                    if outer != inner:
+                        edges.setdefault((outer, inner), (name, event.line))
     reports: List[BugReport] = []
     seen: Set[frozenset] = set()
     for (a, b), (func_ab, line_ab) in edges.items():

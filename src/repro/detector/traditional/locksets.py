@@ -4,11 +4,17 @@ Walks every bounded path of a function tracking which mutex creation sites
 are held, emitting the events the traditional checkers consume: lock/unlock
 transitions, field accesses with their lockset snapshot, and the set of
 locks still held at each return.
+
+:class:`LockFacts` is what the four lock checkers read: the facts of every
+function's paths plus the callee lock summary. A detect builds it once and
+shares it across their shards (``BMOCDetector.lock_facts``); each public
+``check_*`` builds its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Set, Tuple
 
 from repro.analysis.alias import AliasAnalysis, Site
@@ -59,12 +65,78 @@ class LockPath:
     double_locks: List[Tuple[Site, int]] = field(default_factory=list)
 
 
+class LockFacts:
+    """What the four lock checkers read from one walk of every function.
+
+    Each list holds ``(function name, fact)`` pairs, in program order and,
+    within a function, in path order. A fact equal to an earlier one of
+    the same function is left out, because no checker learns anything
+    from it, so the paths themselves need not be kept:
+
+    - ``events``: each path's acquires (:class:`LockAcquire`), then its
+      re-locks (``(site, line)``), then its calls made while holding a
+      lock (:class:`CallWhileHolding`);
+    - ``unreleased``: ``(site, acquire line, return line)`` for a site
+      still held at a return, once per site name and acquire line;
+    - ``accesses``: each :class:`FieldAccess`, once per line, kind and
+      lockset.
+
+    ``summary`` is :func:`lock_summary`, computed on first read. Readers
+    never mutate any of these, so one instance can serve every checker.
+    """
+
+    def __init__(self, program: ir.Program, alias: AliasAnalysis):
+        self.program = program
+        self.alias = alias
+        self.events: List[Tuple[str, object]] = []
+        self.unreleased: List[Tuple[str, Tuple[Site, int, int]]] = []
+        self.accesses: List[Tuple[str, FieldAccess]] = []
+        for func in program:
+            self._add(func.name, walk_function(func, alias))
+
+    def _add(self, name: str, paths: List[LockPath]) -> None:
+        seen: Set[Tuple] = set()
+
+        def keep(facts: List, key: Tuple, fact) -> None:
+            if key not in seen:
+                seen.add(key)
+                facts.append((name, fact))
+
+        for path in paths:
+            for acquire in path.acquires:
+                key = ("acquire", acquire.site, acquire.line, acquire.held_before)
+                keep(self.events, key, acquire)
+            for site, line in path.double_locks:
+                keep(self.events, ("relock", site, line), (site, line))
+            for call in path.calls:
+                keep(self.events, ("call", call.callee, call.line, call.held), call)
+            for ret in path.returns:
+                for site in ret.held:
+                    line = _acquire_line(path, site)
+                    keep(self.unreleased, ("unreleased", str(site), line), (site, line, ret.line))
+            for access in path.accesses:
+                key = ("access", access.line, access.is_write, access.lockset)
+                keep(self.accesses, key, access)
+
+    @cached_property
+    def summary(self) -> Dict[str, Set[Site]]:
+        return lock_summary(self.program, self.alias)
+
+
+def _acquire_line(path: LockPath, site: Site) -> int:
+    """The line of the path's last acquire of ``site`` (0 if none)."""
+    for acquire in reversed(path.acquires):
+        if acquire.site == site:
+            return acquire.line
+    return 0
+
+
 def walk_function(func: ir.Function, alias: AliasAnalysis) -> List[LockPath]:
     """Enumerate bounded paths through ``func`` with lockset tracking."""
     if func.entry is None:
         return []
     paths: List[LockPath] = []
-    _walk(func, func.entry, 0, LockPath(), set(), [], {}, alias, paths)
+    _walk(func.entry, LockPath(), set(), [], {}, alias, paths)
     return paths
 
 
@@ -73,9 +145,7 @@ def _mutex_sites(alias: AliasAnalysis, op: ir.Operand) -> List[Site]:
 
 
 def _walk(
-    func: ir.Function,
     block: ir.Block,
-    idx: int,
     path: LockPath,
     held: Set[Site],
     deferred_unlocks: List[Site],
@@ -83,34 +153,47 @@ def _walk(
     alias: AliasAnalysis,
     out: List[LockPath],
 ) -> None:
-    if len(out) >= MAX_LOCK_PATHS:
-        return
-    held = set(held)
-    deferred_unlocks = list(deferred_unlocks)
-    path = _copy_path(path)
-    i = idx
-    while i < len(block.instrs):
-        instr = block.instrs[i]
-        _visit(instr, path, held, deferred_unlocks, alias)
-        i += 1
-    terminator = block.terminator
-    if terminator is None or isinstance(terminator, (ir.Return, ir.Panic)):
-        final_held = held - set(deferred_unlocks)
-        path.returns.append(ReturnPoint(line=getattr(terminator, "line", 0), held=frozenset(final_held)))
-        out.append(path)
-        return
-    successors = terminator.successors()
-    if not successors:
-        out.append(path)
-        return
-    for succ in successors:
-        count = visits.get(succ.id, 0)
+    """Extend ``path`` through ``block`` to every bounded path end.
+
+    The call owns ``path``, ``held``, ``deferred_unlocks`` and ``visits``
+    and changes them in place. A branch hands copies to every successor
+    but the last, whose walk continues in this loop with the originals; a
+    path already in ``out`` is copied first, since ``out`` keeps it as it
+    is."""
+    while len(out) < MAX_LOCK_PATHS:
+        for instr in block.instrs:
+            _visit(instr, path, held, deferred_unlocks, alias)
+        terminator = block.terminator
+        if terminator is None or isinstance(terminator, (ir.Return, ir.Panic)):
+            final_held = held - set(deferred_unlocks)
+            path.returns.append(ReturnPoint(line=getattr(terminator, "line", 0), held=frozenset(final_held)))
+            out.append(path)
+            return
+        successors = terminator.successors()
+        if not successors:
+            out.append(path)
+            return
+        *branches, block = successors
+        path_in_out = False
+        for succ in branches:
+            count = visits.get(succ.id, 0)
+            if count >= MAX_BLOCK_VISITS:
+                out.append(path)
+                path_in_out = True
+                continue
+            new_visits = dict(visits)
+            new_visits[succ.id] = count + 1
+            _walk(
+                succ, _copy_path(path), set(held), list(deferred_unlocks),
+                new_visits, alias, out,
+            )
+        count = visits.get(block.id, 0)
         if count >= MAX_BLOCK_VISITS:
             out.append(path)
-            continue
-        new_visits = dict(visits)
-        new_visits[succ.id] = count + 1
-        _walk(func, succ, 0, path, held, deferred_unlocks, new_visits, alias, out)
+            return
+        if path_in_out:
+            path = _copy_path(path)
+        visits[block.id] = count + 1
 
 
 def _copy_path(path: LockPath) -> LockPath:

@@ -8,11 +8,11 @@ accesses, report the unprotected accesses as races.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Tuple
 
 from repro.analysis.alias import AliasAnalysis, Site
 from repro.detector.reporting import BlockedOp, BugReport
-from repro.detector.traditional.locksets import FieldAccess, walk_function
+from repro.detector.traditional.locksets import FieldAccess, LockFacts
 from repro.ssa import ir
 
 # a field is "mostly protected" when at least this fraction of its accesses
@@ -22,17 +22,13 @@ MIN_ACCESSES = 3
 
 
 def check_struct_races(program: ir.Program, alias: AliasAnalysis) -> List[BugReport]:
+    return struct_race_reports(LockFacts(program, alias))
+
+
+def struct_race_reports(facts: LockFacts) -> List[BugReport]:
     accesses: Dict[Tuple[str, str], List[Tuple[str, FieldAccess]]] = defaultdict(list)
-    for func in program:
-        per_path = walk_function(func, alias)
-        dedup: Set[Tuple[int, bool, frozenset]] = set()
-        for path in per_path:
-            for access in path.accesses:
-                key = (access.line, access.is_write, access.lockset)
-                if key in dedup:
-                    continue
-                dedup.add(key)
-                accesses[(access.struct_hint, access.field_name)].append((func.name, access))
+    for name, access in facts.accesses:
+        accesses[(access.struct_hint, access.field_name)].append((name, access))
 
     reports: List[BugReport] = []
     for (hint, field_name), entries in accesses.items():

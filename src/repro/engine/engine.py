@@ -24,7 +24,9 @@ fork pool was slower than this loop. Whole programs run in parallel
 across daemons instead (:mod:`repro.fleet`).
 
 Observability: per-shard ``engine-shard`` spans, a ``fingerprint`` span
-around shard fingerprinting (cached runs only), plus the ``cache.hit`` /
+around shard fingerprinting (cached runs only), a ``locksets`` span inside
+the first lock-checker shard (the lockset pass the four lock checkers
+share, counted by ``locksets.functions``), plus the ``cache.hit`` /
 ``cache.miss`` / ``cache.skipped-solver-calls`` / ``engine.timeout`` /
 ``engine.shards`` / ``fingerprint.digests`` counters, all through the
 run's :mod:`repro.obs` collector. ``cache.hit`` / ``cache.miss`` are the
@@ -172,15 +174,17 @@ class DetectionEngine:
         start = time.perf_counter()
         stats = DetectionStats()
         with (child or NULL).span(STAGE_ENGINE_SHARD, shard=info.label, kind=info.kind):
+            detector = self.detector.for_shard(child or NULL)
             if info.kind == "bmoc":
-                detector = self.detector.for_shard(child or NULL)
                 channel = self._channels[index]
                 stats.channels_analyzed = 1
                 reports, timed_out = detector.analyze_channel(
                     channel, stats, self._make_budget()
                 )
             else:
-                reports = run_checker(info.label, self.program, self.detector)
+                # the clone reports the shared lockset pass, when this shard
+                # is the one that runs it, into this shard's collector
+                reports = run_checker(info.label, self.program, detector)
                 timed_out = False
         seconds = time.perf_counter() - start
         if info.kind == "bmoc":

@@ -62,6 +62,10 @@ STAGE_ENGINE_SHARD = "engine-shard"
 #: runs only when a result cache is configured, hence not a pipeline stage
 STAGE_FINGERPRINT = "fingerprint"
 
+#: the lock checkers' one lockset pass per detect, inside the first of
+#: their shards to run; like fingerprinting, not a Figure 2 box
+STAGE_LOCKSETS = "locksets"
+
 #: one entry per request the analysis daemon serves (repro.service); wraps
 #: whatever pipeline stages that request triggered
 STAGE_SERVICE_REQUEST = "service-request"

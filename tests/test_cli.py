@@ -547,6 +547,48 @@ class TestExitCodeRegression:
         assert self._run(["detect", clean_file]).returncode == 0
         assert self._run(["watch", clean_file, "--cycles", "0"]).returncode == 0
 
+    @staticmethod
+    def _run_into_closed_pipe(argv):
+        """Run ``argv`` with stdout a pipe whose reader is already gone."""
+        import os
+        import subprocess
+        import sys as _sys
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            return subprocess.run(
+                [_sys.executable, "-m", "repro", *argv],
+                stdout=write,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write)
+
+    def test_table1_into_a_closed_pipe_exits_141(self):
+        proc = self._run_into_closed_pipe(["table1", "Docker"])
+        assert proc.returncode == 141
+        assert "Traceback" not in proc.stderr
+
+    def test_top_into_a_closed_pipe_exits_141(self, tmp_path):
+        from repro.obs import TelemetryJournal, request_record
+
+        path = str(tmp_path / "telemetry.jsonl")
+        journal = TelemetryJournal(path)
+        for i in range(3):
+            journal.append(request_record(
+                trace_id=f"trace{i}", method="detect", outcome="ok",
+                elapsed_seconds=0.05,
+            ))
+        proc = self._run_into_closed_pipe(["top", "--journal", path])
+        assert proc.returncode == 141
+        assert "Traceback" not in proc.stderr
+
 
 class TestTelemetryCommands:
     def test_stats_prom_emits_valid_exposition(self, buggy_file, capsys):

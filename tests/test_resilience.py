@@ -521,6 +521,85 @@ class TestIncidentLedger:
         assert len(result.bmoc.reports) == 3
 
 
+# -- the lock checkers' shared lockset pass ----------------------------------
+
+
+LOCK_CHECKERS = ("forget-unlock", "double-lock", "conflict-lock", "struct-race")
+
+
+def renders(reports):
+    return [report.render() for report in reports]
+
+
+class TestSharedLocksetPass:
+    """gRPC's detect has BMOC, fatal-goroutine and lock-checker reports."""
+
+    def test_a_walk_that_raises_fails_each_lock_shard_on_its_own(self, monkeypatch):
+        from repro.corpus.apps import corpus_app
+        from repro.detector.traditional import locksets
+
+        program = corpus_app("gRPC").program()
+        clean = run_gcatch(program)
+        real = locksets.walk_function
+        raised = []
+
+        def walk(func, alias):
+            if func.name == "main":
+                raised.append(func.name)
+                raise RuntimeError("walk failed on main")
+            return real(func, alias)
+
+        monkeypatch.setattr(locksets, "walk_function", walk)
+        collector = Collector()
+        result = run_gcatch(program, collector=collector)
+        assert [(s.label, s.outcome) for s in result.shards if s.kind == "traditional"] == [
+            *((name, "failed") for name in LOCK_CHECKERS),
+            ("fatal-goroutine", "ok"),
+        ]
+        assert {s.outcome for s in result.shards if s.kind == "bmoc"} == {"ok"}
+        assert renders(result.bmoc.reports) == renders(clean.bmoc.reports)
+        fatal = [r for r in clean.traditional if r.category == "fatal-goroutine"]
+        assert len(fatal) == 2
+        assert renders(result.traditional) == renders(fatal)
+        # one shard incident per lock checker, as when each walked for
+        # itself; the digest hashes traceback frames, so it is left out
+        assert [
+            (i.site, i.label, i.exception, i.message, i.attempts, i.transient)
+            for i in result.incidents
+        ] == [
+            ("shard", name, "RuntimeError", "walk failed on main", 1, False)
+            for name in LOCK_CHECKERS
+        ]
+        # a pass that raises is not kept: each lock shard walked again
+        assert len(raised) == 4
+        assert "locksets.functions" not in collector.counters
+        monkeypatch.undo()
+        collector = Collector()
+        again = run_gcatch(program, collector=collector)
+        assert collector.counters["locksets.functions"] == len(program.functions)
+        assert renders(again.all_reports()) == renders(clean.all_reports())
+
+    def test_checkers_read_the_shared_pass_without_mutating_it(self):
+        from repro.corpus.apps import corpus_app
+        from repro.detector.bmoc import BMOCDetector
+        from repro.detector.traditional import TRADITIONAL_CHECKERS, run_checker
+
+        program = corpus_app("gRPC").program()
+        collector = Collector()
+        detector = BMOCDetector(program, collector=collector)
+
+        def run_all():
+            return [
+                renders(run_checker(name, program, detector))
+                for name in TRADITIONAL_CHECKERS
+            ]
+
+        first = run_all()
+        assert sum(map(len, first)) == 5
+        assert run_all() == first
+        assert collector.counters["locksets.functions"] == len(program.functions)
+
+
 # -- fixer + validation resilience (satellite c) -----------------------------
 
 

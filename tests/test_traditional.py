@@ -181,3 +181,108 @@ class TestFatalGoroutine:
             'func TestX(t *testing.T) {\n\tgo func() {\n\t\tt.Errorf("x")\n\t}()\n}'
         )
         assert check_fatal_goroutine(prog, cg) == []
+
+
+class TestWalkReference:
+    """``locksets.walk_function`` continues a path through the last
+    successor of a branch in place and copies it only for the others.
+    The reference below copies the whole path state at every block; both
+    must yield the same paths, in the same order, with the same iteration
+    order inside every lockset (report order depends on it)."""
+
+    @staticmethod
+    def reference_walk(func, alias):
+        from repro.detector.traditional import locksets as L
+        from repro.ssa import ir
+
+        def walk(block, path, held, deferred, visits, out):
+            if len(out) >= L.MAX_LOCK_PATHS:
+                return
+            held, deferred, path = set(held), list(deferred), L._copy_path(path)
+            for instr in block.instrs:
+                L._visit(instr, path, held, deferred, alias)
+            terminator = block.terminator
+            if terminator is None or isinstance(terminator, (ir.Return, ir.Panic)):
+                path.returns.append(L.ReturnPoint(
+                    line=getattr(terminator, "line", 0),
+                    held=frozenset(held - set(deferred)),
+                ))
+                out.append(path)
+                return
+            successors = terminator.successors()
+            if not successors:
+                out.append(path)
+                return
+            for succ in successors:
+                count = visits.get(succ.id, 0)
+                if count >= L.MAX_BLOCK_VISITS:
+                    out.append(path)
+                    continue
+                walk(succ, path, held, deferred, {**visits, succ.id: count + 1}, out)
+
+        out = []
+        if func.entry is not None:
+            walk(func.entry, L.LockPath(), set(), [], {}, out)
+        return out
+
+    @staticmethod
+    def shape(paths):
+        def sites(group):
+            return [str(site) for site in group]
+
+        return [
+            (
+                [(str(a.site), a.line, sites(a.held_before)) for a in path.acquires],
+                [(x.struct_hint, x.field_name, x.line, x.is_write, sites(x.lockset))
+                 for x in path.accesses],
+                [(r.line, sites(r.held)) for r in path.returns],
+                [(c.callee, c.line, sites(c.held)) for c in path.calls],
+                [(str(site), line) for site, line in path.double_locks],
+            )
+            for path in paths
+        ]
+
+    def test_a_cut_branch_keeps_its_path_as_it_was(self):
+        """On the path entry → loop → head → loop → head, the second
+        ``head`` cuts its first successor, ``loop`` (visited twice), while
+        its last one, ``tail``, goes on to a field write and a return. The
+        path the cut ended (the first) must not gain them."""
+        from types import SimpleNamespace
+
+        from repro.detector.traditional.locksets import walk_function
+        from repro.ssa import ir
+
+        func = ir.Function("f", params=[])
+        entry, loop, head, tail = (ir.Block(n) for n in ("entry", "loop", "head", "tail"))
+        func.blocks, func.entry = [entry, loop, head, tail], entry
+        entry.terminate(ir.CondJump(cond=ir.Var("c"), true_block=loop, false_block=head))
+        loop.terminate(ir.Jump(target=head))
+        head.terminate(ir.CondJump(cond=ir.Var("c"), true_block=loop, false_block=tail))
+        tail.append(ir.FieldSet(obj=ir.Var("s"), field_name="n", value=ir.Var("v"), line=7))
+        tail.terminate(ir.Return(line=8))
+        alias = SimpleNamespace(program=None, sites_of=lambda op: [])
+        paths = walk_function(func, alias)
+        assert self.shape(paths) == self.shape(self.reference_walk(func, alias))
+        assert [len(path.returns) for path in paths] == [0, 1, 1, 0, 1, 1]
+
+    def test_matches_the_copying_walk_on_apps_bug_set_and_fuzz(self):
+        from repro.corpus.apps import build_corpus
+        from repro.corpus.bugset import build_bug_set
+        from repro.detector.traditional.locksets import walk_function
+        from repro.fuzz.generator import generate_program
+        from repro.ssa.builder import build_program
+
+        programs = [app.program() for app in build_corpus()]
+        programs += [build_program(c.source, c.case_id) for c in build_bug_set()]
+        for index in range(100):
+            generated = generate_program(0, index)
+            programs.append(build_program(generated.source, generated.name + ".go"))
+        functions = 0
+        for program in programs:
+            alias = run_alias_analysis(program, build_call_graph(program))
+            for func in program:
+                assert self.shape(walk_function(func, alias)) == self.shape(
+                    self.reference_walk(func, alias)
+                ), func.name
+                functions += 1
+        assert functions > 3000
