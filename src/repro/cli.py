@@ -48,7 +48,10 @@ from typing import List, Optional
 from repro.api import Project
 from repro.detector.nonblocking import detect_nonblocking
 from repro.engine import EngineConfig, ResultCache
+from repro.golang.lexer import LexError
+from repro.golang.parser import ParseError
 from repro.obs import Collector, json_dumps, render_stats
+from repro.ssa.builder import BuildError
 
 #: dedicated exit code for ``--fail-on-timeout``: the analysis was
 #: incomplete (a solver or per-primitive budget ran out), distinct from
@@ -66,9 +69,24 @@ EXIT_INCIDENT = 4
 #: signal killed, with no traceback
 EXIT_BROKEN_PIPE = 141
 
+#: the usage-error code argparse exits with, also used for an input file
+#: that cannot be read, lexed, parsed or lowered
+EXIT_USAGE = 2
+
 
 def _load(path: str, collector: Optional[Collector] = None) -> Project:
-    return Project.from_file(path, collector=collector)
+    """Load one MiniGo file for detect/fix/run/explore/stats/nonblocking.
+
+    Input that cannot be loaded is a usage error: one ``repro: PATH:
+    ERROR`` line on stderr (the error carries ``line:col`` when it has
+    one) and exit 2, not a traceback and the findings code 1.
+    """
+    try:
+        return Project.from_file(path, collector=collector)
+    except (OSError, UnicodeDecodeError, LexError, ParseError, BuildError) as exc:
+        detail = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+        print(f"repro: {path}: {detail}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE) from None
 
 
 def _activate_faults(args) -> bool:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Dict, List
+
 import pytest
 
 from repro.ssa.builder import build_program
@@ -12,6 +14,22 @@ def build(source: str, filename: str = "test.go"):
     if not source.lstrip().startswith("package"):
         source = "package main\n" + source
     return build_program(source, filename)
+
+
+def split_docker_files() -> Dict[str, str]:
+    """The Docker app as one file per template instance plus ``main.go``
+    that calls every non-test driver: the project of the
+    ``daemon-edit-loop`` benchmark, by file name."""
+    from repro.corpus.apps import corpus_app
+
+    files: Dict[str, str] = {}
+    calls: List[str] = []
+    for k, instance in enumerate(corpus_app("Docker").instances):
+        files[f"inst_{k:03d}.go"] = "package main\n\n" + instance.code.strip("\n") + "\n"
+        if instance.driver and not instance.driver.startswith("Test"):
+            calls.append(f"\t{instance.driver}()")
+    files["main.go"] = "package main\n\nfunc main() {\n" + "\n".join(calls) + "\n}\n"
+    return files
 
 
 def reference_reports(program):

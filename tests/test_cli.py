@@ -590,6 +590,57 @@ class TestExitCodeRegression:
         assert "Traceback" not in proc.stderr
 
 
+class TestUnloadableInput:
+    """A file that cannot be read, decoded, lexed, parsed or lowered is a
+    usage error: one ``repro: PATH: ERROR`` line on stderr and exit 2, the
+    code argparse uses, never a traceback with the findings code 1."""
+
+    CASES = {
+        "lex": (b"package main\n\nfunc main() {\n\tx := #\n}\n",
+                "4:7: unexpected character '#'"),
+        "digit": ("package main\n\nfunc main() {\n\tx := \u0663\n}\n".encode(),
+                  "4:7: unexpected character"),
+        "parse": (b"package main\n\nfunc main() {\n\tx := (\n}\n",
+                  "5:1: expected expression"),
+        "build": (b"package main\n\nfunc main() {\n\tbreak\n}\n",
+                  "line 4: break outside loop"),
+        "undecodable": (b"package main\n\xff\xfe\n", "can't decode byte 0xff"),
+        "missing": (None, "No such file or directory"),
+    }
+
+    def _input(self, tmp_path, kind):
+        content, detail = self.CASES[kind]
+        path = tmp_path / f"{kind}.go"
+        if content is not None:
+            path.write_bytes(content)
+        return str(path), detail
+
+    @pytest.mark.parametrize("kind", sorted(CASES))
+    def test_detect_exits_2_with_one_line(self, tmp_path, kind):
+        path, detail = self._input(tmp_path, kind)
+        proc = TestExitCodeRegression._run(["detect", path])
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"repro: {path}: ")
+        assert detail in proc.stderr
+        assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["detect"], ["fix"], ["run", "--seeds", "1"], ["explore"], ["stats"],
+         ["nonblocking"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_every_file_command_loads_the_same_way(self, tmp_path, argv, capsys):
+        path, detail = self._input(tmp_path, "lex")
+        with pytest.raises(SystemExit) as excinfo:
+            main([argv[0], path, *argv[1:]])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"repro: {path}: {detail}\n"
+        assert captured.out == ""
+
+
 class TestTelemetryCommands:
     def test_stats_prom_emits_valid_exposition(self, buggy_file, capsys):
         from repro.obs import validate_exposition

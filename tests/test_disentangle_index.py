@@ -42,13 +42,14 @@ import pytest
 
 from repro.analysis import dependency
 from repro.analysis.scope import Scope
-from repro.corpus.apps import build_corpus, corpus_app
+from repro.corpus.apps import build_corpus
 from repro.corpus.bugset import build_bug_set
 from repro.detector.bmoc import BMOCDetector
 from repro.engine.invalidate import shard_fingerprints
 from repro.fuzz.generator import generate_program
 from repro.ssa import cfg
 from repro.ssa.builder import build_program, build_program_from_files, parse_source_file
+from tests.conftest import split_docker_files
 
 
 # -- reference oracles: the pairwise implementations ------------------------
@@ -202,14 +203,7 @@ def disagreements(program) -> List[str]:
 
 def split_docker_program():
     """The Docker app as one file per template instance plus ``main.go``."""
-    app = corpus_app("Docker")
-    files: Dict[str, str] = {}
-    calls: List[str] = []
-    for k, instance in enumerate(app.instances):
-        files[f"inst_{k:03d}.go"] = "package main\n\n" + instance.code.strip("\n") + "\n"
-        if instance.driver and not instance.driver.startswith("Test"):
-            calls.append(f"\t{instance.driver}()")
-    files["main.go"] = "package main\n\nfunc main() {\n" + "\n".join(calls) + "\n}\n"
+    files = split_docker_files()
     return build_program_from_files(
         [parse_source_file(files[name], name) for name in sorted(files)]
     )

@@ -16,6 +16,7 @@ from repro.report.experiments import (
     evaluate_app,
     evaluate_corpus,
 )
+from tests.conftest import split_docker_files
 
 
 @pytest.fixture(scope="module")
@@ -162,18 +163,7 @@ class TestEffortGate:
         file, digests every function once and re-executes only the shards
         whose scope the edit touched. Every step re-executes the five
         traditional shards, whose one lockset pass walks all 380 functions."""
-        app = corpus_app("Docker")
-        files = {}
-        calls = []
-        for k, instance in enumerate(app.instances):
-            files[f"inst_{k:03d}.go"] = (
-                "package main\n\n" + instance.code.strip("\n") + "\n"
-            )
-            if instance.driver and not instance.driver.startswith("Test"):
-                calls.append(f"\t{instance.driver}()")
-        files["main.go"] = (
-            "package main\n\nfunc main() {\n" + "\n".join(calls) + "\n}\n"
-        )
+        files = split_docker_files()
         for name, text in files.items():
             (tmp_path / name).write_text(text)
         channel = re.compile(r"make\(chan ([^,()]+?)(?:, *[^)]*)?\)")

@@ -124,6 +124,83 @@ class TestErrors:
             pytest.fail("expected LexError")
 
 
+class TestDigits:
+    """Integer literals are ASCII digits (Go's ``decimal_digit``).
+    ``str.isdigit`` is also true for 778 other code points; ``x := ²``
+    once lexed ``²`` as an integer, and ``int("²")`` then raised
+    ``ValueError`` out of the parser."""
+
+    @pytest.mark.parametrize("digit", ["²", "٣", "５"])
+    def test_non_ascii_digit_is_unexpected(self, digit):
+        with pytest.raises(LexError) as excinfo:
+            tokenize(f"x := {digit}")
+        assert (excinfo.value.line, excinfo.value.col) == (1, 6)
+        assert f"unexpected character {digit!r}" in str(excinfo.value)
+
+    def test_non_ascii_digit_ends_an_integer(self):
+        with pytest.raises(LexError) as excinfo:
+            tokenize("x := 1²")
+        assert excinfo.value.col == 7
+
+    def test_front_end_rejects_with_a_lex_error(self):
+        from repro.ssa.builder import build_program
+
+        with pytest.raises(LexError):
+            build_program("package main\n\nfunc main() {\n\tx := ²\n\tprintln(x)\n}\n")
+
+    def test_non_ascii_digits_and_numerals_continue_an_identifier(self):
+        assert kinds("a² bⅫ c٣") == [
+            ("ident", "a²"),
+            ("ident", "bⅫ"),
+            ("ident", "c٣"),
+            ("op", ";"),
+        ]
+
+    @pytest.mark.parametrize("char", ["Ⅻ", "¼"])
+    def test_numerals_cannot_start_an_identifier(self, char):
+        with pytest.raises(LexError):
+            tokenize(char + "x")
+
+    def test_non_ascii_letter_starts_an_identifier(self):
+        assert kinds("été") == [("ident", "été"), ("op", ";")]
+
+
+class TestPositions:
+    def test_backslash_newline_in_a_string_advances_the_line(self):
+        tokens = tokenize('s := "a\\\nb" + t')
+        string = tokens[2]
+        assert (string.kind, string.text, string.line) == ("string", "a\nb", 1)
+        t = [tok for tok in tokens if tok.text == "t"][0]
+        assert (t.line, t.col) == (2, 6)
+
+    def test_multi_line_block_comment_inserts_no_semicolon(self):
+        tokens = tokenize("x /* one\ntwo */ y")
+        assert [(t.kind, t.text) for t in tokens] == [
+            ("ident", "x"), ("ident", "y"), ("op", ";"), ("eof", ""),
+        ]
+        assert (tokens[1].line, tokens[1].col) == (2, 8)
+
+    def test_inserted_semicolon_sits_at_the_newline(self):
+        tokens = tokenize("f()\n\tg")
+        assert tokens[3] == Token("op", ";", 1, 4)
+        assert (tokens[4].line, tokens[4].col) == (2, 2)
+
+    def test_eof_position(self):
+        assert tokenize("x\n  ")[-1] == Token("eof", "", 2, 3)
+
+
+class TestTokenValue:
+    def test_tokens_compare_by_value(self):
+        assert tokenize("go x") == tokenize("go x")
+        assert Token("op", ";", 1, 2) != Token("op", ";", 1, 3)
+
+    def test_fields_and_predicates(self):
+        token = tokenize("go")[0]
+        assert (token.kind, token.text, token.line, token.col) == ("keyword", "go", 1, 1)
+        assert token.is_keyword("go") and not token.is_keyword("chan")
+        assert not token.is_op("go")
+
+
 class TestProperties:
     @given(st.text(alphabet=st.characters(whitelist_categories=("Ll", "Lu")), min_size=1, max_size=12))
     def test_any_alpha_word_lexes_to_one_token(self, word):
