@@ -111,11 +111,11 @@ class Project:
         import os
 
         if os.path.isdir(path):
-            names = sorted(n for n in os.listdir(path) if n.endswith(".go"))
-            if not names:
-                raise FileNotFoundError(f"no .go files under {path}")
-            return cls.from_files([os.path.join(path, n) for n in names],
-                                  collector=collector)
+            # call-time import: repro.service imports repro.cli, which
+            # imports this module
+            from repro.service.project import project_source_paths
+
+            return cls.from_files(project_source_paths(path), collector=collector)
         return cls.from_file(path, collector=collector)
 
     def _obs(self, collector: Optional[Collector]) -> Optional[Collector]:

@@ -73,6 +73,14 @@ EXIT_BROKEN_PIPE = 141
 #: that cannot be read, lexed, parsed or lowered
 EXIT_USAGE = 2
 
+#: Ctrl-C, the normal way to stop ``serve``/``watch``: 128 + SIGINT, as a
+#: shell reports it, with no traceback
+EXIT_INTERRUPTED = 130
+
+#: what loading an input can raise: a file that cannot be read or decoded,
+#: or MiniGo that does not lex, parse or lower
+_LOAD_ERRORS = (OSError, UnicodeDecodeError, LexError, ParseError, BuildError)
+
 
 def _load(path: str, collector: Optional[Collector] = None) -> Project:
     """Load one MiniGo file for detect/fix/run/explore/stats/nonblocking.
@@ -83,10 +91,20 @@ def _load(path: str, collector: Optional[Collector] = None) -> Project:
     """
     try:
         return Project.from_file(path, collector=collector)
-    except (OSError, UnicodeDecodeError, LexError, ParseError, BuildError) as exc:
+    except _LOAD_ERRORS as exc:
         detail = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
         print(f"repro: {path}: {detail}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE) from None
+
+
+def _load_entry(args: argparse.Namespace, collector: Optional[Collector] = None) -> Project:
+    """:func:`_load` for run/explore/stats, which execute ``--entry``: an
+    entry the program does not define is a usage error too."""
+    project = _load(args.file, collector=collector)
+    if args.entry not in project.program.functions:
+        print(f"repro: {args.file}: no entry function {args.entry!r}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
+    return project
 
 
 def _activate_faults(args) -> bool:
@@ -255,7 +273,7 @@ def cmd_fix(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    project = _load(args.file)
+    project = _load_entry(args)
     failures = 0
     for seed in range(args.seeds):
         outcome = project.run(entry=args.entry, seed=seed, max_steps=args.max_steps)
@@ -280,7 +298,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_explore(args: argparse.Namespace) -> int:
     collector = Collector(args.file) if args.json else None
-    project = _load(args.file, collector=collector)
+    project = _load_entry(args, collector=collector)
     exploration = project.explore(
         entry=args.entry,
         max_runs=args.max_runs,
@@ -407,7 +425,7 @@ def _fuzz_exit(unexplained: bool, crashed: bool) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     """Full pipeline (detect → fix → explore) under one Collector."""
     collector = Collector(args.file)
-    project = _load(args.file, collector=collector)
+    project = _load_entry(args, collector=collector)
     result = project.detect(EngineConfig(max_retries=args.max_retries))
     reports = result.all_reports()
     summary = project.fix_all(result.bmoc.bmoc_channel_bugs())
@@ -484,9 +502,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
             workers=args.workers,
             max_queue=args.max_queue,
         ).start()
-    except (OSError, UnicodeDecodeError) as exc:
+    except _LOAD_ERRORS as exc:
         print(f"cannot load project {args.path}: {exc}", file=sys.stderr)
-        return 2
+        return EXIT_USAGE
     if args.port is None:
         # stdout is the protocol channel in stdio mode; banner to stderr
         print(f"repro-serve: project {service.state.path} "
@@ -510,9 +528,9 @@ def cmd_watch(args: argparse.Namespace) -> int:
             max_cycles=args.cycles,
             config=_engine_config(args),
         )
-    except (OSError, UnicodeDecodeError) as exc:
+    except _LOAD_ERRORS as exc:
         print(f"cannot load project {args.path}: {exc}", file=sys.stderr)
-        return 2
+        return EXIT_USAGE
 
 
 def cmd_client(args: argparse.Namespace) -> int:
@@ -1046,6 +1064,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one command and return its process exit code: the one exit
+    policy of ``python -m repro`` and the ``gcatch-repro`` script."""
     parser = build_parser()
     args = parser.parse_args(argv)
     armed = _activate_faults(args)
@@ -1057,6 +1077,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         # stdout now writes to devnull, so the exit-time flush cannot raise
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
+    except KeyboardInterrupt:
+        return EXIT_INTERRUPTED
     finally:
         if armed:
             from repro.resilience import deactivate

@@ -12,9 +12,10 @@ synchronization primitives:
   occurrence executes;
 * ``CLOSED`` variables — whether a closing operation happened earlier.
 
-These classes are a faithful, printable representation of the formulas the
-paper hands to Z3; the dedicated solver in :mod:`repro.constraints.solver`
-decides them.
+Only ``O`` and ``BS`` exist as printable objects here. The solver in
+:mod:`repro.constraints.solver` decides the formulas the paper hands to Z3
+by searching interleavings: ``P``, ``CB`` and ``CLOSED`` are the matched
+pairs, buffer counts and closed flags of its search states, not objects.
 """
 
 from __future__ import annotations
@@ -35,17 +36,6 @@ class OrderVar:
 
 
 @dataclass(frozen=True)
-class MatchVar:
-    """P(s_i, r_j): sending occurrence i matches receiving occurrence j."""
-
-    send_occ: int
-    recv_occ: int
-
-    def __str__(self) -> str:
-        return f"P(s{self.send_occ},r{self.recv_occ})"
-
-
-@dataclass(frozen=True)
 class BufferSizeConst:
     """BS: the (static) buffer size of a channel primitive."""
 
@@ -55,25 +45,3 @@ class BufferSizeConst:
     def __str__(self) -> str:
         value = "?" if self.value is None else self.value
         return f"BS[{self.prim_label}]={value}"
-
-
-@dataclass(frozen=True)
-class ChanStateVar:
-    """CB_i: elements buffered in the channel just before occurrence i."""
-
-    occ_id: int
-    prim_label: str
-
-    def __str__(self) -> str:
-        return f"CB{self.occ_id}[{self.prim_label}]"
-
-
-@dataclass(frozen=True)
-class ClosedVar:
-    """CLOSED_i: whether the channel is closed before occurrence i."""
-
-    occ_id: int
-    prim_label: str
-
-    def __str__(self) -> str:
-        return f"CLOSED{self.occ_id}[{self.prim_label}]"

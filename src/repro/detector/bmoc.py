@@ -14,7 +14,7 @@ is analyzed with *all* primitives in the whole program starting from
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.alias import run_alias_analysis
@@ -103,7 +103,6 @@ class DetectionStats:
     solver_timeouts: int = 0  # solver calls that hit their node budget
     analysis_timeouts: int = 0  # primitives whose AnalysisBudget ran out
     elapsed_seconds: float = 0.0
-    per_channel_seconds: Dict[str, float] = field(default_factory=dict)
 
     def merge(self, other: "DetectionStats") -> None:
         """Fold another shard's stats into this one (repro.engine)."""
@@ -114,7 +113,6 @@ class DetectionStats:
         self.sat_results += other.sat_results
         self.solver_timeouts += other.solver_timeouts
         self.analysis_timeouts += other.analysis_timeouts
-        self.per_channel_seconds.update(other.per_channel_seconds)
 
 
 @dataclass
@@ -206,11 +204,9 @@ class BMOCDetector:
         stats = DetectionStats()
         reports: List[BugReport] = []
         for channel in self.channels_to_analyze():
-            chan_start = time.perf_counter()
             stats.channels_analyzed += 1
             channel_reports, _ = self.analyze_channel(channel, stats)
             reports.extend(channel_reports)
-            stats.per_channel_seconds[str(channel.site)] = time.perf_counter() - chan_start
         stats.elapsed_seconds = time.perf_counter() - start
         if self.collector:
             self.collector.count("detect.channels", stats.channels_analyzed)

@@ -19,7 +19,8 @@ FATAL_METHODS = ("Fatal", "Fatalf", "FailNow")
 
 
 def check_fatal_goroutine(program: ir.Program, call_graph: CallGraph) -> List[BugReport]:
-    spawned = _goroutine_functions(program)
+    spawned = {child for func in program for _, child in call_graph.spawn_sites(func.name)}
+    spawned.discard(None)
     # extend through calls: functions called from spawned functions also run
     # on the child goroutine
     reachable: Set[str] = set()
@@ -50,12 +51,3 @@ def check_fatal_goroutine(program: ir.Program, call_graph: CallGraph) -> List[Bu
                     )
                 )
     return reports
-
-
-def _goroutine_functions(program: ir.Program) -> Set[str]:
-    out: Set[str] = set()
-    for func in program:
-        for instr in func.instructions():
-            if isinstance(instr, ir.Go) and isinstance(instr.func_op, ir.FuncRef):
-                out.add(instr.func_op.name)
-    return out

@@ -186,13 +186,10 @@ class DetectionEngine:
                 # is the one that runs it, into this shard's collector
                 reports = run_checker(info.label, self.program, detector)
                 timed_out = False
-        seconds = time.perf_counter() - start
-        if info.kind == "bmoc":
-            stats.per_channel_seconds[info.label] = seconds
         return _ShardOutcome(
             reports=reports,
             stats=stats,
-            seconds=seconds,
+            seconds=time.perf_counter() - start,
             timed_out=timed_out,
             collector=child,
         )

@@ -128,9 +128,11 @@ class ProgramDigests:
         return digest
 
 
-def _version_preamble() -> List[str]:
-    # read the tags dynamically so a (monkey-patched or real) version bump
-    # is always picked up
+def version_preamble() -> List[str]:
+    """The detection-semantics version tags folded into every fingerprint:
+    the engine's here and the fleet's unit fingerprints (repro.fleet.plan).
+    Read dynamically so a (monkey-patched or real) version bump is always
+    picked up."""
     return [
         f"engine={ENGINE_VERSION}",
         f"encoder={encoding.ENCODER_VERSION}",
@@ -161,7 +163,7 @@ def channel_fingerprint(
 ) -> str:
     """Fingerprint of one channel's BMOC analysis scope."""
     h = hashlib.sha256()
-    for line in _version_preamble():
+    for line in version_preamble():
         h.update((line + "\n").encode())
     h.update(
         (
@@ -188,7 +190,7 @@ def traditional_fingerprint(digests: ProgramDigests, checker: str) -> str:
     the program.
     """
     h = hashlib.sha256()
-    for line in _version_preamble():
+    for line in version_preamble():
         h.update((line + "\n").encode())
     h.update((f"checker {checker}\n").encode())
     for name in sorted(digests.functions):

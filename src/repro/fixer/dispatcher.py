@@ -2,9 +2,10 @@
 
 The dispatcher classifies each input BMOC bug with static analysis and
 attempts Strategy I, then II, then III — the order that yields the simplest
-(most readable) patch, matching the paper's configuration (§5.1). Timing is
-recorded in two phases, preprocessing (IR + call graph + alias analysis,
-~98% of GFix's time in the paper) and transformation.
+(most readable) patch, matching the paper's configuration (§5.1). The
+``fix-preprocess`` and ``fix-transform`` spans time its two phases:
+preprocessing (IR + call graph + alias analysis, ~98% of GFix's time in
+the paper) and transformation.
 
 Each strategy attempt runs behind the :mod:`repro.resilience` firewall
 (injection site ``fix-apply``): a crashing patcher becomes an
@@ -15,7 +16,6 @@ never aborts a batch fix run.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -41,8 +41,6 @@ class FixResult:
     report: BugReport
     patch: Optional[Patch] = None
     reason: Optional[str] = None  # why no patch was generated
-    preprocess_seconds: float = 0.0
-    transform_seconds: float = 0.0
     # strategies that crashed (firewalled) while fixing this bug
     incidents: List[Incident] = field(default_factory=list)
 
@@ -85,7 +83,6 @@ class GFix:
     """Automated patch synthesis for BMOC bugs detected by GCatch."""
 
     def __init__(self, program: ir.Program, source: str, collector: Optional[Collector] = None):
-        start = time.perf_counter()
         self.program = program
         self.source = source
         self.collector = collector or NULL
@@ -95,22 +92,18 @@ class GFix:
         with self.collector.span("fix-preprocess"):
             self.call_graph = build_call_graph(program)
             self.alias = run_alias_analysis(program, self.call_graph)
-        self.preprocess_seconds = time.perf_counter() - start
 
     def fix(self, report: BugReport) -> FixResult:
         """Classify the bug and attempt Strategies I → II → III."""
-        start = time.perf_counter()
         incidents_before = len(self.firewall.incidents)
-        result = FixResult(report=report, preprocess_seconds=self.preprocess_seconds)
+        result = FixResult(report=report)
         with self.collector.span("fix-transform"):
             if report.category != "bmoc-chan" or report.primitive is None:
                 result.reason = "GFix only fixes channel-only BMOC bugs"
-                result.transform_seconds = time.perf_counter() - start
                 return result
             shape = analyze_shape(self.program, report)
             if shape.reject_reason is not None:
                 result.reason = shape.reject_reason
-                result.transform_seconds = time.perf_counter() - start
                 if self.collector:
                     self.collector.count("fix.rejected")
                 return result
@@ -122,7 +115,6 @@ class GFix:
             if self.collector:
                 self.collector.count("fix.unfixed")
         result.incidents = list(self.firewall.incidents[incidents_before:])
-        result.transform_seconds = time.perf_counter() - start
         return result
 
     def fix_all(self, reports: List[BugReport]) -> GFixSummary:

@@ -28,18 +28,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.constraints import encoding, solver
 from repro.engine import fingerprint as engine_fp
-
-
-def _version_preamble() -> str:
-    """Detection-semantics tag folded into every unit fingerprint: a
-    version bump must invalidate checkpointed outcomes on resume."""
-    return (
-        f"engine={engine_fp.ENGINE_VERSION};"
-        f"encoder={encoding.ENCODER_VERSION};"
-        f"solver={solver.SOLVER_VERSION}"
-    )
 
 
 @dataclass(frozen=True)
@@ -91,7 +80,7 @@ def _sha(data: bytes) -> str:
 def unit_fingerprint(paths: List[str], root: str) -> str:
     """Content fingerprint of one project unit's file set."""
     h = hashlib.sha256()
-    h.update((_version_preamble() + "\n").encode())
+    h.update((";".join(engine_fp.version_preamble()) + "\n").encode())
     for path in sorted(paths):
         rel = os.path.relpath(path, root)
         with open(path, "rb") as handle:
@@ -163,10 +152,11 @@ def plan_fuzz(seed: int, count: int, shard_size: int = 25) -> SweepPlan:
     if shard_size <= 0:
         raise ValueError("shard_size must be positive")
     plan = SweepPlan(kind="fuzz", root=None)
+    tags = ";".join(engine_fp.version_preamble())
     start = 0
     while start < count:
         size = min(shard_size, count - start)
-        spec = f"fuzz;{_version_preamble()};seed={seed};start={start};count={size}"
+        spec = f"fuzz;{tags};seed={seed};start={start};count={size}"
         plan.units.append(
             WorkUnit(
                 uid=f"fuzz-s{seed}-{start:05d}",

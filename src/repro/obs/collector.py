@@ -162,20 +162,6 @@ class Span:
             out["children"] = [c.to_dict() for c in self.children]
         return out
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Span":
-        span = cls(
-            name=payload["name"],
-            start=0.0,
-            end=payload["seconds"],
-            span_id=payload["span_id"],
-            parent_id=payload.get("parent_id"),
-            trace_id=payload.get("trace_id"),
-            attrs=dict(payload.get("attrs", {})),
-        )
-        span.children = [cls.from_dict(c) for c in payload.get("children", ())]
-        return span
-
     # -- context-manager protocol (entered via Collector.span) ------------
 
     def __enter__(self) -> "Span":
@@ -293,18 +279,6 @@ class Dist:
             "buckets": list(self.buckets),
             "samples": list(self.samples),
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Dist":
-        """Rebuild from :meth:`to_dict` output (a stats snapshot)."""
-        dist = cls()
-        dist.count = int(payload["count"])
-        dist.total = float(payload["total"])
-        dist.min = None if payload["min"] is None else float(payload["min"])
-        dist.max = None if payload["max"] is None else float(payload["max"])
-        dist.buckets = [int(n) for n in payload["buckets"]]
-        dist.samples = [float(v) for v in payload["samples"]]
-        return dist
 
 
 class _SpanHandle:

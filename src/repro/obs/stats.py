@@ -4,8 +4,8 @@ One JSON schema (``repro.obs/2``) serves every surface that exports
 numbers: ``repro stats --json``, ``repro explore --json``,
 ``repro diffcheck --json``, ``repro fuzz --json``, the daemon's ``stats``
 method and the ``benchmarks/`` per-stage recordings all emit through
-:func:`json_dumps`, and a :class:`Collector` snapshot round-trips
-losslessly through :func:`snapshot` / :func:`load`.
+:func:`json_dumps`. :func:`snapshot` freezes a :class:`Collector` one
+way: nothing reads a snapshot back into a collector.
 
 Schema (top-level keys of a collector snapshot)::
 
@@ -32,7 +32,7 @@ Schema (top-level keys of a collector snapshot)::
 pipeline order, then any extra span names in first-seen order.
 
 Version history: ``repro.obs/1`` had means-only distributions and
-anonymous spans; :func:`load` no longer accepts it.
+anonymous spans.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from __future__ import annotations
 import json
 from typing import List, Optional
 
-from repro.obs.collector import PIPELINE_STAGES, Collector, Dist, Span
+from repro.obs.collector import PIPELINE_STAGES, Collector
 
 SCHEMA = "repro.obs/2"
 
@@ -74,28 +74,6 @@ def snapshot(collector: Collector, extra: Optional[dict] = None) -> dict:
     if extra:
         payload.update(extra)
     return payload
-
-
-def load(payload: dict) -> Collector:
-    """Rebuild a collector from a snapshot (inverse of :func:`snapshot`).
-
-    Timings are preserved exactly: ``snapshot(load(s)) == s`` for any
-    ``repro.obs/2`` snapshot ``s`` (modulo the keys ``extra`` injected).
-    """
-    schema = payload.get("schema")
-    if schema != SCHEMA:
-        raise ValueError(f"unsupported stats schema: {schema!r}")
-    collector = Collector(
-        name=payload.get("name", "run"), trace_id=payload.get("trace_id")
-    )
-    collector.spans = [Span.from_dict(s) for s in payload.get("spans", ())]
-    collector.counters = {k: int(v) for k, v in payload.get("counters", {}).items()}
-    collector.gauges = {k: float(v) for k, v in payload.get("gauges", {}).items()}
-    collector.dists = {
-        name: Dist.from_dict(d)
-        for name, d in payload.get("distributions", {}).items()
-    }
-    return collector
 
 
 def _fmt(value: Optional[float]) -> str:

@@ -13,7 +13,6 @@
 from repro.runtime.choices import Choice, ChoicePolicy, RandomPolicy, ReplayDivergence, ReplayPolicy
 from repro.runtime.explorer import (
     Exploration,
-    ReplayScheduler,
     explore,
     independent,
     outcome_signature,
@@ -36,7 +35,6 @@ __all__ = [
     "RandomPolicy",
     "ReplayDivergence",
     "ReplayPolicy",
-    "ReplayScheduler",
     "explore",
     "explore_schedules",
     "independent",

@@ -198,8 +198,6 @@ def _copy_shallow(c: _GraphCopier, obj: Any) -> Any:
 def _copy_channel(c: _GraphCopier, chan: Channel) -> Channel:
     new = _copy_shallow(c, chan)
     new.buffer = deque(c.values(chan.buffer))
-    new.send_waiters = [(gid, c.value(v)) for gid, v in chan.send_waiters]
-    new.recv_waiters = list(chan.recv_waiters)
     return new
 
 

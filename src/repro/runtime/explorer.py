@@ -40,19 +40,20 @@ replaces sampling with bounded systematic search:
   records why the search ended.
 
 Every explored outcome carries its choice trace, and
-:class:`ReplayScheduler` re-executes any trace deterministically — a
-discovered leaking schedule is a reproducible artifact, not a lucky seed.
+:func:`~repro.runtime.scheduler.replay_trace` re-executes any trace
+deterministically — a discovered leaking schedule is a reproducible
+artifact, not a lucky seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, Hashable, List, Optional, Sequence
 
 from repro.runtime.checkpoint import Checkpoint
 from repro.runtime.choices import Choice, ChoicePolicy, ReplayDivergence
 from repro.runtime.interp import RUNNABLE, Goroutine, Interpreter
-from repro.runtime.scheduler import ExecutionResult, replay_trace, run_program
+from repro.runtime.scheduler import ExecutionResult, run_program
 from repro.runtime.values import (
     CancelFunc,
     Channel,
@@ -769,45 +770,3 @@ def _sibling_sleep(bp: _BranchPoint, j: int) -> Dict[int, Footprint]:
         merged[bp.gids[k]] = bp.fps[k]
     own = bp.fps[j]
     return {gid: fp for gid, fp in merged.items() if independent(fp, own)}
-
-
-# ---------------------------------------------------------------------------
-# replay
-
-
-class ReplayScheduler:
-    """Deterministically re-run one discovered schedule from its trace.
-
-    ``ReplayScheduler(program, result.choice_trace).run()`` reproduces the
-    exact execution that produced ``result`` — output, leaks, step counts.
-    """
-
-    def __init__(
-        self,
-        program: ir.Program,
-        trace: Sequence[Choice],
-        entry: str = "main",
-        seed: int = 0,
-        max_steps: int = 100_000,
-        args: Optional[List[Any]] = None,
-    ):
-        self.program = program
-        self.trace = list(trace)
-        self.entry = entry
-        self.seed = seed
-        self.max_steps = max_steps
-        self.args = args
-
-    def run(self) -> ExecutionResult:
-        return replay_trace(
-            self.program,
-            self.trace,
-            entry=self.entry,
-            seed=self.seed,
-            max_steps=self.max_steps,
-            args=self.args,
-        )
-
-    def reproduces(self, result: ExecutionResult) -> bool:
-        """Replay and compare against an earlier result's observables."""
-        return outcome_signature(self.run()) == outcome_signature(result)

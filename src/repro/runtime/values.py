@@ -2,15 +2,16 @@
 
 Channel, mutex and waitgroup values implement exactly the Go semantics the
 paper's constraint system models statically (§2.1/§3.4): buffered/unbuffered
-channels with FIFO buffers, close semantics with zero values, rendezvous
-between parked senders and receivers, and mutexes as ownership flags.
+channels with FIFO buffers and a closed flag, and mutexes as ownership
+flags. The interpreter owns the operations on them: close semantics with
+zero values and the rendezvous between parked senders and receivers.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional
 
 
 class _RuntimeIds(threading.local):
@@ -81,7 +82,12 @@ def zero_value(elem_type: str) -> Any:
 
 
 class Channel:
-    """A Go channel: bounded FIFO buffer plus parked sender/receiver queues."""
+    """A Go channel: a bounded FIFO buffer and a closed flag.
+
+    The operations live in the interpreter (``Interpreter._try_send``/
+    ``_try_recv``/``_close_channel``), which pairs senders and receivers
+    through the offers of parked goroutines.
+    """
 
     def __init__(self, capacity: int, elem_type: str = "any", create_line: int = 0):
         self.id = _next_id("chan")
@@ -90,63 +96,6 @@ class Channel:
         self.create_line = create_line
         self.buffer: Deque[Any] = deque()
         self.closed = False
-        # parked goroutine ids with pending values: [(gid, value)]
-        self.send_waiters: List[Tuple[int, Any]] = []
-        self.recv_waiters: List[int] = []
-
-    # -- operations -------------------------------------------------------
-
-    def try_send(self, value: Any) -> Tuple[bool, Optional[int]]:
-        """Attempt a send.
-
-        Returns ``(True, woken_gid)`` on success — ``woken_gid`` is a
-        receiver goroutine unparked by a rendezvous, or None. Returns
-        ``(False, None)`` when the send must block. Raises GoPanic when the
-        channel is closed (Go's send-on-closed semantics).
-        """
-        if self.closed:
-            raise GoPanic("send on closed channel")
-        if self.recv_waiters:
-            gid = self.recv_waiters.pop(0)
-            self.buffer.append(value)
-            return True, gid
-        if len(self.buffer) < self.capacity:
-            self.buffer.append(value)
-            return True, None
-        return False, None
-
-    def try_recv(self) -> Tuple[bool, Any, bool, Optional[int]]:
-        """Attempt a receive.
-
-        Returns ``(ok_to_proceed, value, received_ok_flag, woken_gid)``.
-        ``received_ok_flag`` is Go's second receive result: False only when
-        the channel is closed and drained.
-        """
-        if self.send_waiters:
-            gid, value = self.send_waiters.pop(0)
-            if self.buffer:
-                # buffered channel: parked sender refills the buffer slot
-                out = self.buffer.popleft()
-                self.buffer.append(value)
-                return True, out, True, gid
-            return True, value, True, gid
-        if self.buffer:
-            return True, self.buffer.popleft(), True, None
-        if self.closed:
-            return True, zero_value(self.elem_type), False, None
-        return False, None, False, None
-
-    def close(self) -> List[int]:
-        """Close the channel; returns goroutine ids to wake."""
-        if self.closed:
-            raise GoPanic("close of closed channel")
-        self.closed = True
-        woken = list(self.recv_waiters)
-        self.recv_waiters.clear()
-        # parked senders on a closed channel will panic when they resume
-        woken.extend(gid for gid, _ in self.send_waiters)
-        self.send_waiters.clear()
-        return woken
 
     def __repr__(self) -> str:
         state = "closed" if self.closed else f"{len(self.buffer)}/{self.capacity}"

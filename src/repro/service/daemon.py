@@ -60,7 +60,7 @@ from repro.cli import exit_code_for
 from repro.detector.gcatch import GCatchResult
 from repro.detector.reporting import BugReport
 from repro.engine import EngineConfig, ResultCache, diff_fingerprints, run_engine
-from repro.engine.invalidate import InvalidationDelta
+from repro.engine.invalidate import InvalidationDelta, shard_key
 from repro.obs import (
     STAGE_SERVICE_REQUEST,
     Collector,
@@ -515,7 +515,7 @@ class AnalysisService:
         tenant = ctx.tenant
         shards = result.shards
         cached = sum(1 for s in shards if s.outcome == "cached")
-        new_fps = {f"{s.kind}:{s.label}": s.fingerprint for s in shards}
+        new_fps = {shard_key(s): s.fingerprint for s in shards}
         delta: Optional[InvalidationDelta] = None
         if tenant.fingerprints:
             delta = diff_fingerprints(tenant.fingerprints, new_fps)

@@ -1,9 +1,8 @@
-"""Dominator and post-dominator trees (Cooper–Harvey–Kennedy algorithm).
+"""Dominator trees (Cooper–Harvey–Kennedy algorithm).
 
-GFix's safety checks need both directions: Strategy II requires every
-``return`` to be *dominated* by a static ``o1`` operation, and patch
-placement reasons about the ``return`` *post-dominating* an ``o1``
-(paper §4.3).
+GFix's Strategy II places a deferred operation only when every ``return``
+of the creating function is *dominated* by the static ``o1`` operation
+(paper §4.3); forward dominance is the only direction it needs.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.ssa import ir
-from repro.ssa.cfg import exit_blocks, predecessor_map, reverse_postorder
+from repro.ssa.cfg import predecessor_map, reverse_postorder
 
 
 class DominatorTree:
@@ -80,86 +79,3 @@ def dominator_tree(func: ir.Function) -> DominatorTree:
     preds = predecessor_map(func)
     idom = _compute_idoms(order, order[0], preds)
     return DominatorTree(idom, order)
-
-
-class PostDominatorTree:
-    """Post-dominance computed on the reverse CFG with a virtual exit."""
-
-    VIRTUAL_EXIT = -1
-
-    def __init__(self, func: ir.Function):
-        self._blocks = {block.id: block for block in func.reachable_blocks()}
-        exits = exit_blocks(func)
-        # reverse CFG: successors become predecessors; all exits flow to a
-        # virtual exit node
-        succ_rev: Dict[int, List[int]] = {bid: [] for bid in self._blocks}
-        succ_rev[self.VIRTUAL_EXIT] = [block.id for block in exits]
-        for block in self._blocks.values():
-            for succ in block.successors():
-                succ_rev.setdefault(succ.id, []).append(block.id)
-        pred_rev: Dict[int, List[int]] = {bid: [] for bid in succ_rev}
-        for block in self._blocks.values():
-            for succ in block.successors():
-                pred_rev[block.id].append(succ.id)
-        for exit_block in exits:
-            pred_rev[exit_block.id].append(self.VIRTUAL_EXIT)
-        # reverse postorder on the reverse graph starting from virtual exit
-        order: List[int] = []
-        visited = set()
-
-        def visit(node: int) -> None:
-            visited.add(node)
-            for nxt in succ_rev.get(node, []):
-                if nxt not in visited:
-                    visit(nxt)
-            order.append(node)
-
-        visit(self.VIRTUAL_EXIT)
-        order.reverse()
-        index = {node: i for i, node in enumerate(order)}
-        idom: Dict[int, Optional[int]] = {node: None for node in order}
-        idom[self.VIRTUAL_EXIT] = self.VIRTUAL_EXIT
-
-        def intersect(a: int, b: int) -> int:
-            while a != b:
-                while index[a] > index[b]:
-                    a = idom[a]  # type: ignore[assignment]
-                while index[b] > index[a]:
-                    b = idom[b]  # type: ignore[assignment]
-            return a
-
-        changed = True
-        while changed:
-            changed = False
-            for node in order:
-                if node == self.VIRTUAL_EXIT:
-                    continue
-                candidates = [
-                    p for p in pred_rev.get(node, []) if p in index and idom.get(p) is not None
-                ]
-                if not candidates:
-                    continue
-                new_idom = candidates[0]
-                for pred in candidates[1:]:
-                    new_idom = intersect(new_idom, pred)
-                if idom[node] != new_idom:
-                    idom[node] = new_idom
-                    changed = True
-        self._idom = idom
-
-    def post_dominates(self, a: ir.Block, b: ir.Block) -> bool:
-        """True when every path from ``b`` to exit passes through ``a``."""
-        current: Optional[int] = b.id
-        seen = set()
-        while current is not None and current not in seen:
-            seen.add(current)
-            if current == a.id:
-                return True
-            if current == self.VIRTUAL_EXIT:
-                return False
-            current = self._idom.get(current)
-        return False
-
-
-def post_dominator_tree(func: ir.Function) -> PostDominatorTree:
-    return PostDominatorTree(func)

@@ -1,7 +1,7 @@
-"""Tests for CFG utilities and dominator/post-dominator trees."""
+"""Tests for CFG utilities and dominator trees."""
 
 from repro.ssa import cfg, ir
-from repro.ssa.dominators import dominator_tree, post_dominator_tree
+from repro.ssa.dominators import dominator_tree
 from tests.conftest import build
 
 DIAMOND = (
@@ -105,38 +105,3 @@ class TestDominators:
         tree = dominator_tree(func)
         for src, header in cfg.back_edges(func):
             assert tree.dominates(header, src)
-
-
-class TestPostDominators:
-    def test_exit_post_dominates_entry(self):
-        prog = build(DIAMOND)
-        func = prog.functions["f"]
-        tree = post_dominator_tree(func)
-        exit_block = cfg.exit_blocks(func)[0]
-        assert tree.post_dominates(exit_block, func.entry)
-
-    def test_branch_arm_does_not_post_dominate_entry(self):
-        prog = build(DIAMOND)
-        func = prog.functions["f"]
-        tree = post_dominator_tree(func)
-        branch = func.entry.terminator
-        assert isinstance(branch, ir.CondJump)
-        assert not tree.post_dominates(branch.true_block, func.entry)
-
-    def test_post_dominance_reflexive(self):
-        prog = build(DIAMOND)
-        func = prog.functions["f"]
-        tree = post_dominator_tree(func)
-        for block in func.reachable_blocks():
-            assert tree.post_dominates(block, block)
-
-    def test_multiple_returns(self):
-        prog = build(
-            "func f(x int) int {\n\tif x > 0 {\n\t\treturn 1\n\t}\n\treturn 0\n}"
-        )
-        func = prog.functions["f"]
-        tree = post_dominator_tree(func)
-        exits = cfg.exit_blocks(func)
-        assert len(exits) == 2
-        for exit_block in exits:
-            assert not tree.post_dominates(exit_block, func.entry)

@@ -589,6 +589,16 @@ class TestExitCodeRegression:
         assert proc.returncode == 141
         assert "Traceback" not in proc.stderr
 
+    def test_ctrl_c_returns_130(self, buggy_file, monkeypatch):
+        # main() owns the mapping, so the gcatch-repro script gets it too
+        from repro.api import Project
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(Project, "detect", interrupted)
+        assert main(["detect", buggy_file]) == 130
+
 
 class TestUnloadableInput:
     """A file that cannot be read, decoded, lexed, parsed or lowered is a
@@ -638,6 +648,48 @@ class TestUnloadableInput:
         assert excinfo.value.code == 2
         captured = capsys.readouterr()
         assert captured.err == f"repro: {path}: {detail}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv", [["serve"], ["watch", "--cycles", "0"]], ids=lambda argv: argv[0]
+    )
+    def test_daemon_commands_exit_2_with_one_line(self, tmp_path, argv):
+        import subprocess
+
+        path, detail = self._input(tmp_path, "lex")
+        proc = TestExitCodeRegression._run(
+            [argv[0], path, *argv[1:]], stdin=subprocess.DEVNULL
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == f"cannot load project {path}: {detail}\n"
+
+    @pytest.mark.parametrize("kind", ["parse", "build"])
+    @pytest.mark.parametrize("command", ["serve", "watch"])
+    def test_daemon_commands_load_like_file_commands(self, tmp_path, kind, command, capsys):
+        path, detail = self._input(tmp_path, kind)
+        assert main([command, path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot load project {path}: ")
+        assert detail in err
+        assert err.count("\n") == 1
+
+
+class TestUnknownEntry:
+    """An ``--entry`` the program does not define is a usage error: one
+    ``repro: PATH: no entry function 'NAME'`` line and exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "--seeds", "1"], ["explore"], ["stats", "--max-runs", "1"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_unknown_entry_exits_2_with_one_line(self, clean_file, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([argv[0], clean_file, *argv[1:], "--entry", "nosuch"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"repro: {clean_file}: no entry function 'nosuch'\n"
         assert captured.out == ""
 
 

@@ -7,13 +7,7 @@ from repro.analysis.primitives import find_primitives
 from repro.analysis.scope import compute_all_scopes
 from repro.constraints.encoding import StopPoint, encode
 from repro.constraints.solver import solve
-from repro.constraints.variables import (
-    BufferSizeConst,
-    ChanStateVar,
-    ClosedVar,
-    MatchVar,
-    OrderVar,
-)
+from repro.constraints.variables import BufferSizeConst, OrderVar
 from repro.detector.paths import OpEvent, PathEnumerator, enumerate_combinations
 from repro.detector.suspicious import enumerate_groups
 from tests.conftest import build
@@ -44,10 +38,7 @@ def groups_of(combo):
 class TestVariables:
     def test_printable_forms(self):
         assert str(OrderVar(7)) == "O7"
-        assert str(MatchVar(1, 2)) == "P(s1,r2)"
         assert str(BufferSizeConst("ch", 0)) == "BS[ch]=0"
-        assert str(ChanStateVar(3, "ch")) == "CB3[ch]"
-        assert str(ClosedVar(4, "ch")) == "CLOSED4[ch]"
 
 
 class TestEncoding:

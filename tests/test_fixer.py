@@ -6,6 +6,7 @@ from repro.api import Project
 from repro.detector.bmoc import detect_bmoc
 from repro.fixer.dispatcher import GFix
 from repro.fixer.patch import LineEdit, Patch, indent_of, line_text
+from repro.obs import Collector
 from tests.conftest import build
 
 
@@ -213,9 +214,13 @@ class TestDispatcher:
         assert fix.strategy == "buffer"
 
     def test_timings_recorded(self, figure1_source):
-        project, fix = fix_first(figure1_source)
-        assert fix.preprocess_seconds >= 0
-        assert fix.transform_seconds >= 0
+        project = Project.from_source(figure1_source, "fix.go")
+        bugs = project.detect().bmoc.bmoc_channel_bugs()
+        collector = Collector()
+        project.fix(bugs[0], collector=collector)
+        totals = collector.stage_totals()
+        assert totals["fix-preprocess"][0] == 1
+        assert totals["fix-transform"][0] == 1
 
     def test_non_channel_bug_rejected(self):
         program = build(

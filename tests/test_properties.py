@@ -8,9 +8,8 @@ from repro.detector.bmoc import detect_bmoc
 from repro.detector.paths import BranchEvent, conditions_satisfiable
 from repro.fixer.patch import LineEdit, Patch
 from repro.runtime.scheduler import explore_schedules, run_program
-from repro.ssa import cfg
 from repro.ssa.builder import build_program
-from repro.ssa.dominators import dominator_tree, post_dominator_tree
+from repro.ssa.dominators import dominator_tree
 from tests.conftest import build
 
 # ---------------------------------------------------------------------------
@@ -183,14 +182,3 @@ class TestDominatorProperties:
         for block in blocks:
             assert tree.dominates(func.entry, block)
             assert tree.dominates(block, block)
-
-    @settings(max_examples=40, deadline=None)
-    @given(shape=st.lists(st.booleans(), min_size=1, max_size=5))
-    def test_exit_post_dominates_everything(self, shape):
-        program = build(_branching_program(shape))
-        func = program.functions["f"]
-        tree = post_dominator_tree(func)
-        exits = cfg.exit_blocks(func)
-        assert len(exits) == 1
-        for block in func.reachable_blocks():
-            assert tree.post_dominates(exits[0], block)

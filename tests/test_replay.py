@@ -3,7 +3,7 @@
 import pytest
 
 from repro.runtime.choices import Choice, ReplayDivergence
-from repro.runtime.explorer import ReplayScheduler, explore, outcome_signature
+from repro.runtime.explorer import explore, outcome_signature
 from repro.runtime.scheduler import replay_trace, run_program
 from repro.ssa.builder import build_program
 
@@ -70,13 +70,13 @@ class TestReplayFidelity:
         program = build_program(LEAKY, "leaky.go")
         exploration = explore(program)
         leak = exploration.leaking()[0]
-        scheduler = ReplayScheduler(program, leak.choice_trace)
-        assert scheduler.reproduces(leak)
+        replayed = replay_trace(program, leak.choice_trace)
+        assert outcome_signature(replayed) == outcome_signature(leak)
 
     def test_replay_scheduler_run_matches_signature(self):
         program = build_program(RACY, "racy.go")
         outcome = run_program(program, seed=7)
-        replayed = ReplayScheduler(program, outcome.choice_trace, seed=7).run()
+        replayed = replay_trace(program, outcome.choice_trace, seed=7)
         assert outcome_signature(replayed) == outcome_signature(outcome)
 
 

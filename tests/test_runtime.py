@@ -1,59 +1,13 @@
 """Tests for the runtime: channel semantics, scheduling, deadlock oracle."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.runtime.scheduler import explore_schedules, run_program
-from repro.runtime.values import Channel, GoPanic
 from tests.conftest import build
 
 
 def run(source: str, entry: str = "main", seed: int = 0, max_steps: int = 50_000):
     return run_program(build(source), entry=entry, seed=seed, max_steps=max_steps)
-
-
-class TestChannelValue:
-    def test_buffered_fifo(self):
-        ch = Channel(2, "int")
-        assert ch.try_send(1)[0]
-        assert ch.try_send(2)[0]
-        assert not ch.try_send(3)[0]
-        ok, value, flag, _ = ch.try_recv()
-        assert (ok, value, flag) == (True, 1, True)
-
-    def test_unbuffered_send_blocks(self):
-        ch = Channel(0, "int")
-        assert ch.try_send(1) == (False, None)
-
-    def test_recv_from_empty_blocks(self):
-        ch = Channel(1, "int")
-        assert ch.try_recv()[0] is False
-
-    def test_closed_recv_zero_value(self):
-        ch = Channel(0, "int")
-        ch.close()
-        ok, value, flag, _ = ch.try_recv()
-        assert (ok, value, flag) == (True, 0, False)
-
-    def test_send_on_closed_panics(self):
-        ch = Channel(1, "int")
-        ch.close()
-        with pytest.raises(GoPanic):
-            ch.try_send(1)
-
-    def test_double_close_panics(self):
-        ch = Channel(0, "int")
-        ch.close()
-        with pytest.raises(GoPanic):
-            ch.close()
-
-    def test_closed_drains_buffer_first(self):
-        ch = Channel(2, "string")
-        ch.try_send("a")
-        ch.close()
-        assert ch.try_recv()[1] == "a"
-        ok, value, flag, _ = ch.try_recv()
-        assert (value, flag) == ("", False)
 
 
 class TestBasicExecution:
@@ -93,6 +47,13 @@ class TestBasicExecution:
             "\tdefault:\n\t\tprintln(\"default\")\n\t}\n}"
         )
         assert result.output == ["default"]
+
+    def test_closed_channel_drains_buffer_first(self):
+        result = run(
+            "func main() {\n\tch := make(chan string, 2)\n\tch <- \"a\"\n\tclose(ch)\n"
+            "\tv1, ok1 := <-ch\n\tv2, ok2 := <-ch\n\tprintln(v1, ok1)\n\tprintln(v2, ok2)\n}"
+        )
+        assert result.output == ["a True", " False"]
 
     def test_recv_ok_flag(self):
         result = run(
@@ -183,6 +144,16 @@ class TestDefersAndPanics:
         )
         assert result.output == ["5"]
 
+    def test_send_on_closed_channel_panics(self):
+        result = run("func main() {\n\tch := make(chan int, 1)\n\tclose(ch)\n\tch <- 1\n}")
+        assert result.panicked
+        assert result.panic_message == "send on closed channel"
+
+    def test_close_of_closed_channel_panics(self):
+        result = run("func main() {\n\tch := make(chan int)\n\tclose(ch)\n\tclose(ch)\n}")
+        assert result.panicked
+        assert result.panic_message == "close of closed channel"
+
     def test_panic_reported(self):
         result = run('func main() {\n\tpanic("boom")\n}')
         assert result.panicked
@@ -226,6 +197,19 @@ class TestDeadlockOracle:
             "\tgo func() {\n\t\tch <- 1\n\t}()\n\tprintln(\"go\")\n}"
         )
         assert result.leaked
+
+    def test_full_buffer_blocks_sender(self):
+        result = run(
+            "func main() {\n\tch := make(chan int, 2)\n\tch <- 1\n\tch <- 2\n"
+            "\tch <- 3\n\tprintln(\"unreached\")\n}"
+        )
+        assert result.global_deadlock
+        assert result.blocked_lines() == [6]
+        assert result.output == []
+
+    def test_recv_from_empty_buffer_blocks(self):
+        result = run("func main() {\n\tch := make(chan int, 1)\n\t<-ch\n}")
+        assert result.global_deadlock
 
     def test_wg_wait_forever(self):
         result = run("func main() {\n\tvar wg sync.WaitGroup\n\twg.Add(1)\n\twg.Wait()\n}")
