@@ -92,9 +92,14 @@ def _load(path: str, collector: Optional[Collector] = None) -> Project:
     try:
         return Project.from_file(path, collector=collector)
     except _LOAD_ERRORS as exc:
-        detail = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
-        print(f"repro: {path}: {detail}", file=sys.stderr)
+        print(f"repro: {path}: {_load_error(exc)}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE) from None
+
+
+def _load_error(exc: Exception) -> object:
+    """What a load error says without the path: an OS error's reason
+    (``No such file or directory``), else the error itself."""
+    return exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
 
 
 def _load_entry(args: argparse.Namespace, collector: Optional[Collector] = None) -> Project:
@@ -503,7 +508,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             max_queue=args.max_queue,
         ).start()
     except _LOAD_ERRORS as exc:
-        print(f"cannot load project {args.path}: {exc}", file=sys.stderr)
+        print(f"cannot load project {args.path}: {_load_error(exc)}", file=sys.stderr)
         return EXIT_USAGE
     if args.port is None:
         # stdout is the protocol channel in stdio mode; banner to stderr
@@ -529,7 +534,7 @@ def cmd_watch(args: argparse.Namespace) -> int:
             config=_engine_config(args),
         )
     except _LOAD_ERRORS as exc:
-        print(f"cannot load project {args.path}: {exc}", file=sys.stderr)
+        print(f"cannot load project {args.path}: {_load_error(exc)}", file=sys.stderr)
         return EXIT_USAGE
 
 

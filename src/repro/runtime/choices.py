@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, List, Sequence
+from typing import Any, Dict, List, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,21 @@ class Choice:
     kind: str  # 'sched' | 'select'
     options: int
     index: int
+
+
+#: every ``Choice`` a policy has recorded, so that a trace shares one
+#: immutable value per distinct decision instead of building one per pick.
+#: Choices compare by value, so two threads that both build a missing
+#: entry record equal choices.
+_CHOICES: Dict[Tuple[str, int, int], Choice] = {}
+
+
+def _choice(kind: str, options: int, index: int) -> Choice:
+    key = (kind, options, index)
+    choice = _CHOICES.get(key)
+    if choice is None:
+        choice = _CHOICES[key] = Choice(kind, options, index)
+    return choice
 
 
 class ReplayDivergence(Exception):
@@ -45,7 +60,7 @@ class ChoicePolicy:
 
     def pick(self, kind: str, options: Sequence[Any], interp: Any) -> int:
         index = self._decide(kind, options, interp)
-        self.trace.append(Choice(kind, len(options), index))
+        self.trace.append(_choice(kind, len(options), index))
         return index
 
     def _decide(self, kind: str, options: Sequence[Any], interp: Any) -> int:

@@ -21,13 +21,20 @@ replaces sampling with bounded systematic search:
   is the one a replay from ``main`` makes: the same runs, prunes, steps and
   traces;
 * one preemption rule serves fresh and replayed choices: a step counts
-  only when its footprint is non-empty, so a checkpoint's preemption
-  counters are the ones a replay of its prefix would compute;
-* commuting steps are not explored in both orders. Each pending step gets a
+  only when it is visible (its footprint is non-empty), so a checkpoint's
+  preemption counters are the ones a replay of its prefix would compute.
+  Only a preemption bound reads them, so only then are they kept;
+* commuting steps are not explored in both orders. Each pending step has a
   *footprint* (the channels/mutexes/waitgroups/shared variables it touches);
   steps with disjoint footprints are independent, and a sleep-set discipline
   (Godefroid) prunes the redundant orderings. Steps with an *empty*
   footprint (pure goroutine-local work) never branch at all;
+* a decision computes only what it reads. It first asks whether each
+  option's step is visible, which the instruction's type mostly answers
+  without building a set, and runs the first invisible one at once.
+  Footprints are built only for the candidates of a branch point, whose
+  siblings' sleep sets read them, and for the chosen step when the sleep
+  set has something to wake;
 * exploration is bounded by a run budget, a per-run branching (depth) bound
   and an optional preemption bound; :class:`Exploration.complete` reports
   honestly whether the whole space within the program's semantics was
@@ -48,7 +55,7 @@ artifact, not a lucky seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Hashable, List, Optional, Sequence
+from typing import Any, Callable, Dict, FrozenSet, Hashable, List, Optional, Sequence
 
 from repro.runtime.checkpoint import Checkpoint
 from repro.runtime.choices import Choice, ChoicePolicy, ReplayDivergence
@@ -144,17 +151,8 @@ def step_footprint(interp: Interpreter, goroutine: Goroutine) -> Footprint:
     if frame.returning:
         if frame.deferred:
             target, dargs = frame.deferred[-1]
-            if isinstance(target, ir.FuncRef):
-                if target.name in (
-                    DEFER_CLOSE,
-                    DEFER_SEND,
-                    DEFER_UNLOCK,
-                    DEFER_RUNLOCK,
-                    DEFER_LOCK,
-                    DEFER_RLOCK,
-                    DEFER_WG_DONE,
-                ):
-                    return frozenset({_sync_token(dargs[0] if dargs else None)})
+            if isinstance(target, ir.FuncRef) and target.name in _SYNC_DEFERS:
+                return frozenset({_sync_token(dargs[0] if dargs else None)})
             return _EMPTY  # a deferred call just pushes a frame
         # frame pop: return values land in the caller's env
         if len(goroutine.frames) >= 2 and frame.dsts:
@@ -168,94 +166,191 @@ def step_footprint(interp: Interpreter, goroutine: Goroutine) -> Footprint:
 
 
 def _instr_footprint(instr: ir.Instr, env: Env) -> Footprint:
-    if isinstance(instr, (ir.Send, ir.Recv, ir.Close, ir.RangeNext)):
-        chan = _sync_token(_operand_value(instr.chan, env))
-        extra: List[Optional[ir.Operand]] = [instr.chan]
-        if isinstance(instr, ir.Send):
-            extra.append(instr.value)
-        if isinstance(instr, ir.Recv):
-            extra.extend([instr.dst, instr.ok_dst])
-        if isinstance(instr, ir.RangeNext):
-            extra.append(instr.dst)
-        return frozenset({chan} | _cells(env, *extra))
-    if isinstance(instr, ir.Select):
-        tokens: set = set()
-        ops: List[Optional[ir.Operand]] = []
-        for case in instr.cases:
-            tokens.add(_sync_token(_operand_value(case.chan, env)))
-            ops.extend([case.chan, case.value, case.dst, case.ok_dst])
-        return frozenset(tokens | _cells(env, *ops))
-    if isinstance(instr, (ir.Lock, ir.Unlock)):
-        return frozenset({_sync_token(_operand_value(instr.mutex, env))} | _cells(env, instr.mutex))
-    if isinstance(instr, (ir.WgAdd, ir.WgDone, ir.WgWait)):
-        return frozenset({_sync_token(_operand_value(instr.wg, env))} | _cells(env, instr.wg))
-    if isinstance(instr, (ir.CondWait, ir.CondSignal)):
-        return frozenset({_sync_token(_operand_value(instr.cond, env))} | _cells(env, instr.cond))
-    if isinstance(instr, ir.Println):
-        return frozenset({("io",)} | _cells(env, *instr.args))
-    if isinstance(instr, ir.Fatal):
-        return frozenset({("test",)})
-    if isinstance(instr, ir.Sleep):
-        # sleeping interacts with the virtual clock every step advances;
-        # modelled conservatively (see also the sleeper check in the policy)
-        return frozenset({("clock",)})
-    if isinstance(instr, ir.Panic):
-        return _WILD  # a panic kills the whole program
-    if isinstance(instr, ir.Go):
-        return frozenset(_cells(env, *instr.args))
-    if isinstance(instr, ir.Call):
-        target = _operand_value(instr.func_op, env)
-        cells = _cells(env, *instr.args, instr.func_op, *instr.dsts)
-        if isinstance(target, CancelFunc):
-            return frozenset({_sync_token(target.ctx.done)} | cells)
-        return frozenset(cells)
-    if isinstance(instr, ir.Defer):
-        return frozenset(_cells(env, instr.func_op, *instr.args))
-    if isinstance(instr, ir.Assign):
-        return frozenset(_cells(env, instr.dst, instr.src))
-    if isinstance(instr, ir.BinOp):
-        return frozenset(_cells(env, instr.dst, instr.left, instr.right))
-    if isinstance(instr, ir.UnOp):
-        return frozenset(_cells(env, instr.dst, instr.operand))
-    if isinstance(instr, (ir.FieldGet, ir.FieldSet)):
-        obj = _operand_value(instr.obj, env)
-        tokens = set()
-        if isinstance(obj, StructVal):
-            tokens.add(("field", obj.id, instr.field_name))
-        ops = [instr.obj]
-        ops.append(instr.dst if isinstance(instr, ir.FieldGet) else instr.value)
-        return frozenset(tokens | _cells(env, *ops))
-    if isinstance(instr, (ir.IndexGet, ir.IndexSet)):
-        seq = _operand_value(instr.seq, env)
-        tokens = set()
-        if isinstance(seq, SliceVal):
-            tokens.add(("slice", seq.id))
-        ops = [instr.seq, instr.index]
-        ops.append(instr.dst if isinstance(instr, ir.IndexGet) else instr.value)
-        return frozenset(tokens | _cells(env, *ops))
-    if isinstance(instr, ir.CtxDone):
-        return frozenset(_cells(env, instr.ctx, instr.dst))
-    if isinstance(
-        instr,
-        (
-            ir.MakeChan,
-            ir.MakeMutex,
-            ir.MakeWaitGroup,
-            ir.MakeCond,
-            ir.MakeSlice,
-            ir.MakeStruct,
-        ),
-    ):
-        return frozenset(_cells(env, instr.dst))
-    if isinstance(instr, ir.MakeContext):
-        return frozenset(_cells(env, instr.dst, instr.cancel_dst))
-    if isinstance(instr, ir.CondJump):
-        return frozenset(_cells(env, instr.cond))
-    if isinstance(instr, ir.Jump):
-        return _EMPTY
-    if isinstance(instr, ir.Return):
-        return frozenset(_cells(env, *instr.values))
-    return _WILD  # unknown instruction: assume it touches everything
+    rule = _FOOTPRINT_RULES.get(type(instr))
+    if rule is None:
+        return _WILD  # unknown instruction: assume it touches everything
+    return rule(instr, env)
+
+
+_SYNC_DEFERS = frozenset(
+    {
+        DEFER_CLOSE,
+        DEFER_SEND,
+        DEFER_UNLOCK,
+        DEFER_RUNLOCK,
+        DEFER_LOCK,
+        DEFER_RLOCK,
+        DEFER_WG_DONE,
+    }
+)
+_IO: Footprint = frozenset({("io",)})
+_TEST: Footprint = frozenset({("test",)})
+# sleeping interacts with the virtual clock every step advances; modelled
+# conservatively (see also the sleeper check in the policy)
+_CLOCK: Footprint = frozenset({("clock",)})
+
+
+def _synced(
+    primitive: Optional[ir.Operand], env: Env, *operands: Optional[ir.Operand]
+) -> Footprint:
+    """The sync object ``primitive`` names, plus the shared cells of ``operands``."""
+    cells = _cells(env, *operands)
+    cells.add(_sync_token(_operand_value(primitive, env)))
+    return frozenset(cells)
+
+
+def _select_footprint(instr: ir.Select, env: Env) -> Footprint:
+    tokens: set = set()
+    ops: List[Optional[ir.Operand]] = []
+    for case in instr.cases:
+        tokens.add(_sync_token(_operand_value(case.chan, env)))
+        ops.extend([case.chan, case.value, case.dst, case.ok_dst])
+    return frozenset(tokens | _cells(env, *ops))
+
+
+def _call_footprint(instr: ir.Call, env: Env) -> Footprint:
+    target = _operand_value(instr.func_op, env)
+    cells = _cells(env, *instr.args, instr.func_op, *instr.dsts)
+    if isinstance(target, CancelFunc):
+        cells.add(_sync_token(target.ctx.done))
+    return frozenset(cells)
+
+
+def _field_footprint(instr: ir.Instr, env: Env, moved: Optional[ir.Operand]) -> Footprint:
+    cells = _cells(env, instr.obj, moved)
+    obj = _operand_value(instr.obj, env)
+    if isinstance(obj, StructVal):
+        cells.add(("field", obj.id, instr.field_name))
+    return frozenset(cells)
+
+
+def _index_footprint(instr: ir.Instr, env: Env, moved: Optional[ir.Operand]) -> Footprint:
+    cells = _cells(env, instr.seq, instr.index, moved)
+    seq = _operand_value(instr.seq, env)
+    if isinstance(seq, SliceVal):
+        cells.add(("slice", seq.id))
+    return frozenset(cells)
+
+
+def _dst_cells(instr: ir.Instr, env: Env) -> Footprint:
+    return frozenset(_cells(env, instr.dst))
+
+
+#: the footprint of each instruction type, looked up by exact type (no
+#: concrete IR instruction class subclasses another)
+_FOOTPRINT_RULES: Dict[type, Callable[[Any, Env], Footprint]] = {
+    ir.Send: lambda i, env: _synced(i.chan, env, i.chan, i.value),
+    ir.Recv: lambda i, env: _synced(i.chan, env, i.chan, i.dst, i.ok_dst),
+    ir.Close: lambda i, env: _synced(i.chan, env, i.chan),
+    ir.RangeNext: lambda i, env: _synced(i.chan, env, i.chan, i.dst),
+    ir.Select: _select_footprint,
+    ir.Lock: lambda i, env: _synced(i.mutex, env, i.mutex),
+    ir.Unlock: lambda i, env: _synced(i.mutex, env, i.mutex),
+    ir.WgAdd: lambda i, env: _synced(i.wg, env, i.wg),
+    ir.WgDone: lambda i, env: _synced(i.wg, env, i.wg),
+    ir.WgWait: lambda i, env: _synced(i.wg, env, i.wg),
+    ir.CondWait: lambda i, env: _synced(i.cond, env, i.cond),
+    ir.CondSignal: lambda i, env: _synced(i.cond, env, i.cond),
+    ir.Println: lambda i, env: _IO | _cells(env, *i.args),
+    ir.Fatal: lambda i, env: _TEST,
+    ir.Sleep: lambda i, env: _CLOCK,
+    ir.Panic: lambda i, env: _WILD,  # a panic kills the whole program
+    ir.Go: lambda i, env: frozenset(_cells(env, *i.args)),
+    ir.Call: _call_footprint,
+    ir.Defer: lambda i, env: frozenset(_cells(env, i.func_op, *i.args)),
+    ir.Assign: lambda i, env: frozenset(_cells(env, i.dst, i.src)),
+    ir.BinOp: lambda i, env: frozenset(_cells(env, i.dst, i.left, i.right)),
+    ir.UnOp: lambda i, env: frozenset(_cells(env, i.dst, i.operand)),
+    ir.FieldGet: lambda i, env: _field_footprint(i, env, i.dst),
+    ir.FieldSet: lambda i, env: _field_footprint(i, env, i.value),
+    ir.IndexGet: lambda i, env: _index_footprint(i, env, i.dst),
+    ir.IndexSet: lambda i, env: _index_footprint(i, env, i.value),
+    ir.CtxDone: lambda i, env: frozenset(_cells(env, i.ctx, i.dst)),
+    ir.MakeChan: _dst_cells,
+    ir.MakeMutex: _dst_cells,
+    ir.MakeWaitGroup: _dst_cells,
+    ir.MakeCond: _dst_cells,
+    ir.MakeSlice: _dst_cells,
+    ir.MakeStruct: _dst_cells,
+    ir.MakeContext: lambda i, env: frozenset(_cells(env, i.dst, i.cancel_dst)),
+    ir.CondJump: lambda i, env: frozenset(_cells(env, i.cond)),
+    ir.Jump: lambda i, env: _EMPTY,
+    ir.Return: lambda i, env: frozenset(_cells(env, *i.values)),
+}
+
+#: types whose footprint holds a token in every env: their steps are visible
+_ALWAYS_VISIBLE = frozenset(
+    {
+        ir.Send,
+        ir.Recv,
+        ir.Close,
+        ir.RangeNext,
+        ir.Lock,
+        ir.Unlock,
+        ir.WgAdd,
+        ir.WgDone,
+        ir.WgWait,
+        ir.CondWait,
+        ir.CondSignal,
+        ir.Println,
+        ir.Fatal,
+        ir.Sleep,
+        ir.Panic,
+    }
+)
+
+#: types whose footprint is only the shared cells of their operands: their
+#: steps are invisible when no frame of the env chain is shared
+_CELLS_ONLY = frozenset(
+    {
+        ir.Go,
+        ir.Defer,
+        ir.Assign,
+        ir.BinOp,
+        ir.UnOp,
+        ir.CtxDone,
+        ir.MakeChan,
+        ir.MakeMutex,
+        ir.MakeWaitGroup,
+        ir.MakeCond,
+        ir.MakeSlice,
+        ir.MakeStruct,
+        ir.MakeContext,
+        ir.CondJump,
+        ir.Return,
+    }
+)
+
+
+def _chain_shared(env: Optional[Env]) -> bool:
+    while env is not None:
+        if env.shared:
+            return True
+        env = env.parent
+    return False
+
+
+def _visible_by_type(goroutine: Goroutine) -> Optional[bool]:
+    """Whether the goroutine's next step is visible, told from its
+    instruction's type and env chain alone; None when only the footprint
+    can tell."""
+    frame = goroutine.frame
+    if frame.returning:
+        if frame.deferred:
+            target = frame.deferred[-1][0]
+            return isinstance(target, ir.FuncRef) and target.name in _SYNC_DEFERS
+        # a frame pop is cells-only: its results land in the caller's env
+        if len(goroutine.frames) < 2 or not frame.dsts:
+            return False
+        return None if _chain_shared(goroutine.frames[-2].env) else False
+    kind = type(frame.current_instr())
+    if kind in _ALWAYS_VISIBLE:
+        return True
+    if kind is ir.Jump:
+        return False
+    if kind in _CELLS_ONLY and not _chain_shared(frame.env):
+        return False
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +454,7 @@ class _DirectedPolicy(ChoicePolicy):
         self.branch_points: List[_BranchPoint] = []
         self.truncated = False
         self.checkpoints = 0  # interpreter checkpoints this run took
+        self.footprints = 0  # step footprints this run built
         self._last_gid: Optional[int] = None
         self._preemptions = 0
         # the resume point taken before the current step, for a select
@@ -371,10 +467,23 @@ class _DirectedPolicy(ChoicePolicy):
 
     # -- bookkeeping ------------------------------------------------------
 
-    def _note_step(self, goroutine: Goroutine, options: Sequence[Goroutine], fp: Footprint) -> None:
+    def _footprint(self, interp: Interpreter, goroutine: Goroutine) -> Footprint:
+        self.footprints += 1
+        return step_footprint(interp, goroutine)
+
+    def _visible(self, interp: Interpreter, goroutine: Goroutine) -> bool:
+        """``bool(step_footprint(interp, goroutine))``, building the footprint
+        only where the instruction's type cannot tell."""
+        seen = _visible_by_type(goroutine)
+        if seen is None:
+            return bool(self._footprint(interp, goroutine))
+        return seen
+
+    def _note_step(self, goroutine: Goroutine, options: Sequence[Goroutine], visible: bool) -> None:
         """Count a preemption. Fresh and replayed choices share this one rule,
-        so a resumed run starts with the counters a replay would compute."""
-        if not fp:  # invisible steps don't count against the preemption budget
+        so a resumed run starts with the counters a replay would compute.
+        Only a preemption bound reads the counters, so only then is it run."""
+        if not visible:  # invisible steps don't count against the preemption budget
             return
         gid = goroutine.gid
         if self._last_gid is not None and gid != self._last_gid:
@@ -383,10 +492,7 @@ class _DirectedPolicy(ChoicePolicy):
         self._last_gid = gid
 
     def _wake_dependents(self, fp: Footprint) -> None:
-        if self.sleep:
-            self.sleep = {
-                gid: slept for gid, slept in self.sleep.items() if independent(slept, fp)
-            }
+        self.sleep = {gid: slept for gid, slept in self.sleep.items() if independent(slept, fp)}
 
     def _resume_point(self, pos: int, interp: Interpreter) -> _ResumePoint:
         """Checkpoint the run before sched choice ``pos`` is noted."""
@@ -436,7 +542,8 @@ class _DirectedPolicy(ChoicePolicy):
             chosen = options[recorded.index]
             if last:  # the next choice, if a select, is a fresh one
                 self._prepare_step(pos, chosen, interp)
-            self._note_step(chosen, options, step_footprint(interp, chosen))
+            if self._bounds.preemption_bound is not None:
+                self._note_step(chosen, options, self._visible(interp, chosen))
         if last:
             # the branch point itself: the parent already filtered this
             # sleep set against the substituted choice's footprint
@@ -444,26 +551,29 @@ class _DirectedPolicy(ChoicePolicy):
         return recorded.index
 
     def _decide_sched(self, pos: int, options: Sequence[Goroutine], interp: Any) -> int:
+        """Run the first invisible option, else the first awake candidate,
+        recording a branch point when other candidates are awake."""
         bounds = self._bounds
-        sleeper_active = any(
+        counting = bounds.preemption_bound is not None
+        if len(options) == 1 and not self.sleep and not counting:
+            # a lone goroutine with nothing asleep runs whatever its footprint
+            self._prepare_step(pos, options[0], interp)
+            return 0
+        # timers in play (or pruning off): assume every step conflicts
+        wild = not bounds.prune or any(
             g.status == RUNNABLE and g.sleep_until > interp.clock
             for g in interp.goroutines.values()
         )
-        wild = not bounds.prune or sleeper_active
-        if wild:
-            # timers in play (or pruning off): assume everything conflicts
-            fps = [_WILD for _ in options]
-        else:
-            fps = [step_footprint(interp, g) for g in options]
-            for i, fp in enumerate(fps):
-                if not fp:
+        if not wild:
+            for i, goroutine in enumerate(options):
+                if not self._visible(interp, goroutine):
                     return i  # invisible: run it now, nothing to reorder
 
         candidates = [i for i, g in enumerate(options) if g.gid not in self.sleep]
         if not candidates:
             raise _PrunedRun()
         if (
-            bounds.preemption_bound is not None
+            counting
             and self._preemptions >= bounds.preemption_bound
             and self._last_gid is not None
         ):
@@ -474,8 +584,12 @@ class _DirectedPolicy(ChoicePolicy):
                 candidates = same
 
         resume = None
+        fp: Optional[Footprint] = None  # the chosen step's, once built
         if len(candidates) > 1:
             if len(self.branch_points) < bounds.max_branch:
+                # the siblings' sleep sets read every candidate's footprint
+                fps = [_WILD if wild else self._footprint(interp, options[i]) for i in candidates]
+                fp = fps[0]
                 resume = self._resume_point(pos, interp)
                 self.branch_points.append(
                     _BranchPoint(
@@ -484,7 +598,7 @@ class _DirectedPolicy(ChoicePolicy):
                         options=len(options),
                         candidates=list(candidates),
                         gids=[options[i].gid for i in candidates],
-                        fps=[fps[i] for i in candidates],
+                        fps=fps,
                         sleep=dict(self.sleep),
                         resume=resume,
                     )
@@ -494,8 +608,13 @@ class _DirectedPolicy(ChoicePolicy):
         chosen = candidates[0]
         goroutine = options[chosen]
         self._prepare_step(pos, goroutine, interp, resume)
-        self._wake_dependents(fps[chosen])
-        self._note_step(goroutine, options, step_footprint(interp, goroutine) if wild else fps[chosen])
+        if self.sleep:
+            if fp is None:
+                fp = _WILD if wild else self._footprint(interp, goroutine)
+            self._wake_dependents(fp)
+        if counting:
+            # past the invisible-step check every option is visible
+            self._note_step(goroutine, options, not wild or self._visible(interp, goroutine))
         return chosen
 
     def _decide_select(self, pos: int, options: Sequence[Any]) -> int:
@@ -682,7 +801,7 @@ def explore(
     bounds = _Bounds(max_branch=max_branch, preemption_bound=preemption_bound, prune=prune)
     exploration = Exploration(entry=entry)
     stack: List[_WorkItem] = [_WorkItem(prefix=[], sleep={}, resume=None)]
-    checkpoints = restored_steps = 0
+    checkpoints = restored_steps = footprints = 0
     with obs.span("explore"):
         while stack:
             if exploration.runs >= max_runs:
@@ -733,6 +852,7 @@ def explore(
             if policy.truncated:
                 exploration.complete = False
             checkpoints += policy.checkpoints
+            footprints += policy.footprints
             for bp in policy.branch_points:
                 base = policy.trace[: bp.pos]
                 bp.resume.waiting += len(bp.candidates) - 1
@@ -754,6 +874,7 @@ def explore(
     if obs:
         obs.count("explore.checkpoints", checkpoints)
         obs.count("explore.restored-steps", restored_steps)
+        obs.count("explore.footprints", footprints)
         obs.count("explore.backtracks", exploration.backtracks)
         obs.count("explore.outcomes", len(exploration.outcomes))
         obs.count("explore.leaking", len(exploration.leaking()))

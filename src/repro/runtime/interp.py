@@ -215,7 +215,10 @@ class Interpreter:
                 # fell off a block with no terminator: treat as return
                 self._begin_return(goroutine, [])
                 return
-            self._exec(goroutine, instr)
+            handler = _HANDLERS.get(type(instr))
+            if handler is None:
+                raise GoPanic(f"unknown instruction {type(instr).__name__}")
+            handler(self, goroutine, frame, instr)
         except GoPanic as panic:
             self._handle_panic(goroutine, str(panic))
 
@@ -317,154 +320,173 @@ class Interpreter:
             return
         self._push_call(goroutine, target, args, dsts=[])
 
-    # -- instruction dispatch ------------------------------------------------
+    # -- instructions ---------------------------------------------------------
+    #
+    # One handler per instruction type, looked up by exact type in
+    # ``_HANDLERS`` (no concrete IR instruction class subclasses another).
+    # A handler gets the goroutine, its top frame and the instruction.
 
-    def _exec(self, goroutine: Goroutine, instr: ir.Instr) -> None:
-        frame = goroutine.frame
-        env = frame.env
-        if isinstance(instr, ir.MakeChan):
-            size = self.value_of(instr.size, env) or 0
-            self._store(env, instr.dst, Channel(int(size), instr.elem_type, instr.line))
+    def _exec_make_chan(self, goroutine: Goroutine, frame: Frame, instr: ir.MakeChan) -> None:
+        size = int(self.value_of(instr.size, frame.env) or 0)
+        if size < 0:
+            raise GoPanic("makechan: size out of range")
+        self._store(frame.env, instr.dst, Channel(size, instr.elem_type, instr.line))
+        self._advance(frame)
+
+    def _exec_make_mutex(self, goroutine: Goroutine, frame: Frame, instr: ir.MakeMutex) -> None:
+        self._store(frame.env, instr.dst, MutexVal(rw=instr.rw, create_line=instr.line))
+        self._advance(frame)
+
+    def _exec_make_wait_group(
+        self, goroutine: Goroutine, frame: Frame, instr: ir.MakeWaitGroup
+    ) -> None:
+        self._store(frame.env, instr.dst, WaitGroupVal(create_line=instr.line))
+        self._advance(frame)
+
+    def _exec_make_cond(self, goroutine: Goroutine, frame: Frame, instr: ir.MakeCond) -> None:
+        self._store(frame.env, instr.dst, CondVal(create_line=instr.line))
+        self._advance(frame)
+
+    def _exec_cond_wait(self, goroutine: Goroutine, frame: Frame, instr: ir.CondWait) -> None:
+        cond = self.value_of(instr.cond, frame.env)
+        if goroutine.resume_action is not None and goroutine.resume_action[0] == "cond_done":
+            goroutine.resume_action = None
             self._advance(frame)
-        elif isinstance(instr, ir.MakeMutex):
-            self._store(env, instr.dst, MutexVal(rw=instr.rw, create_line=instr.line))
-            self._advance(frame)
-        elif isinstance(instr, ir.MakeWaitGroup):
-            self._store(env, instr.dst, WaitGroupVal(create_line=instr.line))
-            self._advance(frame)
-        elif isinstance(instr, ir.MakeCond):
-            self._store(env, instr.dst, CondVal(create_line=instr.line))
-            self._advance(frame)
-        elif isinstance(instr, ir.CondWait):
-            cond = self.value_of(instr.cond, env)
-            if goroutine.resume_action is not None and goroutine.resume_action[0] == "cond_done":
-                goroutine.resume_action = None
-                self._advance(frame)
-            else:
-                goroutine.park([Offer("condwait", cond)], instr.line, "cond-wait", self.clock)
-        elif isinstance(instr, ir.CondSignal):
-            cond = self.value_of(instr.cond, env)
-            waiters = self.parked("condwait", cond)
-            if waiters:
-                targets = waiters if instr.broadcast else waiters[:1]
-                for waiter in targets:
-                    waiter.wake(("cond_done",))
-            self._advance(frame)
-        elif isinstance(instr, ir.MakeContext):
-            ctx = ContextVal(Channel(0, "unit", instr.line))
-            self._store(env, instr.dst, ctx)
-            if instr.cancel_dst is not None:
-                self._store(env, instr.cancel_dst, CancelFunc(ctx))
-            self._advance(frame)
-        elif isinstance(instr, ir.MakeSlice):
-            size = int(self.value_of(instr.size, env) or 0)
-            self._store(env, instr.dst, SliceVal([zero_value(instr.elem_type)] * size))
-            self._advance(frame)
-        elif isinstance(instr, ir.MakeStruct):
-            fields = {name: self.value_of(op, env) for name, op in instr.fields}
-            self._store(env, instr.dst, StructVal(instr.type_name, fields))
-            self._advance(frame)
-        elif isinstance(instr, ir.Send):
-            self._exec_send(goroutine, instr)
-        elif isinstance(instr, ir.Recv):
-            self._exec_recv(goroutine, instr)
-        elif isinstance(instr, ir.Close):
-            self._close_channel(self.value_of(instr.chan, env))
-            self._advance(frame)
-        elif isinstance(instr, ir.Lock):
-            self._exec_lock(goroutine, instr)
-        elif isinstance(instr, ir.Unlock):
-            self._unlock(self.value_of(instr.mutex, env), read=instr.read)
-            self._advance(frame)
-        elif isinstance(instr, ir.WgAdd):
-            wg = self.value_of(instr.wg, env)
-            if isinstance(wg, WaitGroupVal):
-                wg.count += int(self.value_of(instr.delta, env) or 0)
-            self._advance(frame)
-        elif isinstance(instr, ir.WgDone):
-            self._wg_done(self.value_of(instr.wg, env))
-            self._advance(frame)
-        elif isinstance(instr, ir.WgWait):
-            self._exec_wg_wait(goroutine, instr)
-        elif isinstance(instr, ir.Go):
-            self._exec_go(goroutine, instr)
-        elif isinstance(instr, ir.Call):
-            self._exec_call(goroutine, instr)
-        elif isinstance(instr, ir.Defer):
-            target = self.value_of(instr.func_op, env)
-            if isinstance(instr.func_op, ir.FuncRef) and instr.func_op.name.startswith("$"):
-                target = instr.func_op
-            args = [self.value_of(a, env) for a in instr.args]
-            frame.deferred.append((target, args))
-            self._advance(frame)
-        elif isinstance(instr, ir.Fatal):
-            testing = self.value_of(instr.testing, env)
-            if isinstance(testing, TestingT):
-                testing.failed = True
-            self.test_failed = True
-            self._advance(frame)
-        elif isinstance(instr, ir.Sleep):
-            duration = int(self.value_of(instr.duration, env) or 1)
-            if goroutine.sleep_until > self.clock:
-                pass  # already sleeping; nothing to do
-            goroutine.sleep_until = self.clock + max(duration, 1)
-            self._advance(frame)
-        elif isinstance(instr, ir.Println):
-            parts = [str(self.value_of(a, env)) for a in instr.args]
-            self.output.append(" ".join(parts))
-            self._advance(frame)
-        elif isinstance(instr, ir.BinOp):
-            self._store(env, instr.dst, self._binop(instr.op, instr, env))
-            self._advance(frame)
-        elif isinstance(instr, ir.UnOp):
-            self._store(env, instr.dst, self._unop(instr, env))
-            self._advance(frame)
-        elif isinstance(instr, ir.Assign):
-            self._store(env, instr.dst, self.value_of(instr.src, env))
-            self._advance(frame)
-        elif isinstance(instr, ir.FieldGet):
-            obj = self.value_of(instr.obj, env)
-            value = obj.fields.get(instr.field_name) if isinstance(obj, StructVal) else None
-            self._store(env, instr.dst, value)
-            self._advance(frame)
-        elif isinstance(instr, ir.FieldSet):
-            obj = self.value_of(instr.obj, env)
-            if isinstance(obj, StructVal):
-                obj.fields[instr.field_name] = self.value_of(instr.value, env)
-            self._advance(frame)
-        elif isinstance(instr, ir.IndexGet):
-            seq = self.value_of(instr.seq, env)
-            index = int(self.value_of(instr.index, env) or 0)
-            value = seq.elems[index] if isinstance(seq, SliceVal) else None
-            self._store(env, instr.dst, value)
-            self._advance(frame)
-        elif isinstance(instr, ir.IndexSet):
-            seq = self.value_of(instr.seq, env)
-            if isinstance(seq, SliceVal):
-                index = int(self.value_of(instr.index, env) or 0)
-                seq.elems[index] = self.value_of(instr.value, env)
-            self._advance(frame)
-        elif isinstance(instr, ir.CtxDone):
-            ctx = self.value_of(instr.ctx, env)
-            done = ctx.done if isinstance(ctx, ContextVal) else Channel(0, "unit")
-            self._store(env, instr.dst, done)
-            self._advance(frame)
-        elif isinstance(instr, ir.Jump):
-            self._jump(frame, instr.target)
-        elif isinstance(instr, ir.CondJump):
-            cond = self.value_of(instr.cond, env)
-            self._jump(frame, instr.true_block if cond else instr.false_block)
-        elif isinstance(instr, ir.Select):
-            self._exec_select(goroutine, instr)
-        elif isinstance(instr, ir.RangeNext):
-            self._exec_range_next(goroutine, instr)
-        elif isinstance(instr, ir.Return):
-            values = [self.value_of(v, env) for v in instr.values]
-            self._begin_return(goroutine, values)
-        elif isinstance(instr, ir.Panic):
-            raise GoPanic(self.value_of(instr.message, env))
         else:
-            raise GoPanic(f"unknown instruction {type(instr).__name__}")
+            goroutine.park([Offer("condwait", cond)], instr.line, "cond-wait", self.clock)
+
+    def _exec_cond_signal(self, goroutine: Goroutine, frame: Frame, instr: ir.CondSignal) -> None:
+        cond = self.value_of(instr.cond, frame.env)
+        waiters = self.parked("condwait", cond)
+        if waiters:
+            targets = waiters if instr.broadcast else waiters[:1]
+            for waiter in targets:
+                waiter.wake(("cond_done",))
+        self._advance(frame)
+
+    def _exec_make_context(self, goroutine: Goroutine, frame: Frame, instr: ir.MakeContext) -> None:
+        ctx = ContextVal(Channel(0, "unit", instr.line))
+        self._store(frame.env, instr.dst, ctx)
+        if instr.cancel_dst is not None:
+            self._store(frame.env, instr.cancel_dst, CancelFunc(ctx))
+        self._advance(frame)
+
+    def _exec_make_slice(self, goroutine: Goroutine, frame: Frame, instr: ir.MakeSlice) -> None:
+        size = int(self.value_of(instr.size, frame.env) or 0)
+        if size < 0:
+            raise GoPanic("makeslice: len out of range")
+        self._store(frame.env, instr.dst, SliceVal([zero_value(instr.elem_type)] * size))
+        self._advance(frame)
+
+    def _exec_make_struct(self, goroutine: Goroutine, frame: Frame, instr: ir.MakeStruct) -> None:
+        env = frame.env
+        fields = {name: self.value_of(op, env) for name, op in instr.fields}
+        self._store(env, instr.dst, StructVal(instr.type_name, fields))
+        self._advance(frame)
+
+    def _exec_close(self, goroutine: Goroutine, frame: Frame, instr: ir.Close) -> None:
+        self._close_channel(self.value_of(instr.chan, frame.env))
+        self._advance(frame)
+
+    def _exec_unlock(self, goroutine: Goroutine, frame: Frame, instr: ir.Unlock) -> None:
+        self._unlock(self.value_of(instr.mutex, frame.env), read=instr.read)
+        self._advance(frame)
+
+    def _exec_wg_add(self, goroutine: Goroutine, frame: Frame, instr: ir.WgAdd) -> None:
+        wg = self.value_of(instr.wg, frame.env)
+        if isinstance(wg, WaitGroupVal):
+            wg.count += int(self.value_of(instr.delta, frame.env) or 0)
+        self._advance(frame)
+
+    def _exec_wg_done(self, goroutine: Goroutine, frame: Frame, instr: ir.WgDone) -> None:
+        self._wg_done(self.value_of(instr.wg, frame.env))
+        self._advance(frame)
+
+    def _exec_defer(self, goroutine: Goroutine, frame: Frame, instr: ir.Defer) -> None:
+        env = frame.env
+        target = self.value_of(instr.func_op, env)
+        if isinstance(instr.func_op, ir.FuncRef) and instr.func_op.name.startswith("$"):
+            target = instr.func_op
+        args = [self.value_of(a, env) for a in instr.args]
+        frame.deferred.append((target, args))
+        self._advance(frame)
+
+    def _exec_fatal(self, goroutine: Goroutine, frame: Frame, instr: ir.Fatal) -> None:
+        testing = self.value_of(instr.testing, frame.env)
+        if isinstance(testing, TestingT):
+            testing.failed = True
+        self.test_failed = True
+        self._advance(frame)
+
+    def _exec_sleep(self, goroutine: Goroutine, frame: Frame, instr: ir.Sleep) -> None:
+        duration = int(self.value_of(instr.duration, frame.env) or 1)
+        goroutine.sleep_until = self.clock + max(duration, 1)
+        self._advance(frame)
+
+    def _exec_println(self, goroutine: Goroutine, frame: Frame, instr: ir.Println) -> None:
+        parts = [str(self.value_of(a, frame.env)) for a in instr.args]
+        self.output.append(" ".join(parts))
+        self._advance(frame)
+
+    def _exec_bin_op(self, goroutine: Goroutine, frame: Frame, instr: ir.BinOp) -> None:
+        self._store(frame.env, instr.dst, self._binop(instr.op, instr, frame.env))
+        self._advance(frame)
+
+    def _exec_un_op(self, goroutine: Goroutine, frame: Frame, instr: ir.UnOp) -> None:
+        self._store(frame.env, instr.dst, self._unop(instr, frame.env))
+        self._advance(frame)
+
+    def _exec_assign(self, goroutine: Goroutine, frame: Frame, instr: ir.Assign) -> None:
+        self._store(frame.env, instr.dst, self.value_of(instr.src, frame.env))
+        self._advance(frame)
+
+    def _exec_field_get(self, goroutine: Goroutine, frame: Frame, instr: ir.FieldGet) -> None:
+        obj = self.value_of(instr.obj, frame.env)
+        value = obj.fields.get(instr.field_name) if isinstance(obj, StructVal) else None
+        self._store(frame.env, instr.dst, value)
+        self._advance(frame)
+
+    def _exec_field_set(self, goroutine: Goroutine, frame: Frame, instr: ir.FieldSet) -> None:
+        obj = self.value_of(instr.obj, frame.env)
+        if isinstance(obj, StructVal):
+            obj.fields[instr.field_name] = self.value_of(instr.value, frame.env)
+        self._advance(frame)
+
+    def _exec_index_get(self, goroutine: Goroutine, frame: Frame, instr: ir.IndexGet) -> None:
+        env = frame.env
+        seq = self.value_of(instr.seq, env)
+        index = int(self.value_of(instr.index, env) or 0)
+        value = seq.elems[_in_range(index, seq)] if isinstance(seq, SliceVal) else None
+        self._store(env, instr.dst, value)
+        self._advance(frame)
+
+    def _exec_index_set(self, goroutine: Goroutine, frame: Frame, instr: ir.IndexSet) -> None:
+        env = frame.env
+        seq = self.value_of(instr.seq, env)
+        if isinstance(seq, SliceVal):
+            index = int(self.value_of(instr.index, env) or 0)
+            seq.elems[_in_range(index, seq)] = self.value_of(instr.value, env)
+        self._advance(frame)
+
+    def _exec_ctx_done(self, goroutine: Goroutine, frame: Frame, instr: ir.CtxDone) -> None:
+        ctx = self.value_of(instr.ctx, frame.env)
+        done = ctx.done if isinstance(ctx, ContextVal) else Channel(0, "unit")
+        self._store(frame.env, instr.dst, done)
+        self._advance(frame)
+
+    def _exec_jump(self, goroutine: Goroutine, frame: Frame, instr: ir.Jump) -> None:
+        self._jump(frame, instr.target)
+
+    def _exec_cond_jump(self, goroutine: Goroutine, frame: Frame, instr: ir.CondJump) -> None:
+        cond = self.value_of(instr.cond, frame.env)
+        self._jump(frame, instr.true_block if cond else instr.false_block)
+
+    def _exec_return(self, goroutine: Goroutine, frame: Frame, instr: ir.Return) -> None:
+        env = frame.env
+        self._begin_return(goroutine, [self.value_of(v, env) for v in instr.values])
+
+    def _exec_panic(self, goroutine: Goroutine, frame: Frame, instr: ir.Panic) -> None:
+        raise GoPanic(self.value_of(instr.message, frame.env))
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -521,8 +543,7 @@ class Interpreter:
 
     # -- channel operations -------------------------------------------------
 
-    def _exec_send(self, goroutine: Goroutine, instr: ir.Send) -> None:
-        frame = goroutine.frame
+    def _exec_send(self, goroutine: Goroutine, frame: Frame, instr: ir.Send) -> None:
         if goroutine.resume_action is not None and goroutine.resume_action[0] == "send_done":
             goroutine.resume_action = None
             self._advance(frame)
@@ -551,8 +572,7 @@ class Interpreter:
             return True
         return False
 
-    def _exec_recv(self, goroutine: Goroutine, instr: ir.Recv) -> None:
-        frame = goroutine.frame
+    def _exec_recv(self, goroutine: Goroutine, frame: Frame, instr: ir.Recv) -> None:
         if goroutine.resume_action is not None and goroutine.resume_action[0] == "recv_done":
             _, _, value, ok = goroutine.resume_action
             goroutine.resume_action = None
@@ -607,8 +627,7 @@ class Interpreter:
 
     # -- select ------------------------------------------------------------
 
-    def _exec_select(self, goroutine: Goroutine, instr: ir.Select) -> None:
-        frame = goroutine.frame
+    def _exec_select(self, goroutine: Goroutine, frame: Frame, instr: ir.Select) -> None:
         if goroutine.resume_action is not None:
             action = goroutine.resume_action
             goroutine.resume_action = None
@@ -699,8 +718,7 @@ class Interpreter:
                 offers.append(Offer("send", chan, value))
         return offers
 
-    def _exec_range_next(self, goroutine: Goroutine, instr: ir.RangeNext) -> None:
-        frame = goroutine.frame
+    def _exec_range_next(self, goroutine: Goroutine, frame: Frame, instr: ir.RangeNext) -> None:
         if goroutine.resume_action is not None and goroutine.resume_action[0] == "recv_done":
             _, _, value, ok = goroutine.resume_action
             goroutine.resume_action = None
@@ -726,8 +744,7 @@ class Interpreter:
 
     # -- locks / waitgroups ---------------------------------------------------
 
-    def _exec_lock(self, goroutine: Goroutine, instr: ir.Lock) -> None:
-        frame = goroutine.frame
+    def _exec_lock(self, goroutine: Goroutine, frame: Frame, instr: ir.Lock) -> None:
         mutex = self.value_of(instr.mutex, frame.env)
         if not isinstance(mutex, MutexVal):
             raise GoPanic("lock of non-mutex value")
@@ -766,8 +783,7 @@ class Interpreter:
         if wg.count == 0:
             self._wake_all_on(wg)
 
-    def _exec_wg_wait(self, goroutine: Goroutine, instr: ir.WgWait) -> None:
-        frame = goroutine.frame
+    def _exec_wg_wait(self, goroutine: Goroutine, frame: Frame, instr: ir.WgWait) -> None:
         wg = self.value_of(instr.wg, frame.env)
         if not isinstance(wg, WaitGroupVal) or wg.count == 0:
             self._advance(frame)
@@ -776,8 +792,7 @@ class Interpreter:
 
     # -- calls / goroutines --------------------------------------------------
 
-    def _exec_go(self, goroutine: Goroutine, instr: ir.Go) -> None:
-        frame = goroutine.frame
+    def _exec_go(self, goroutine: Goroutine, frame: Frame, instr: ir.Go) -> None:
         target = self.value_of(instr.func_op, frame.env)
         args = [self.value_of(a, frame.env) for a in instr.args]
         func, env = self._resolve_callable(target, args)
@@ -786,8 +801,7 @@ class Interpreter:
             child.park_time = self.clock
         self._advance(frame)
 
-    def _exec_call(self, goroutine: Goroutine, instr: ir.Call) -> None:
-        frame = goroutine.frame
+    def _exec_call(self, goroutine: Goroutine, frame: Frame, instr: ir.Call) -> None:
         target = self.value_of(instr.func_op, frame.env)
         args = [self.value_of(a, frame.env) for a in instr.args]
         if isinstance(target, CancelFunc):
@@ -844,3 +858,53 @@ class Interpreter:
     def _bind_params(self, func: ir.Function, env: Env, args: List[Any]) -> None:
         for i, param in enumerate(func.params):
             env.vars[param] = args[i] if i < len(args) else None
+
+
+def _in_range(index: int, seq: SliceVal) -> int:
+    """``index`` if it is in bounds for ``seq``; Go's panic otherwise."""
+    if index < 0:
+        raise GoPanic(f"index out of range [{index}]")
+    if index >= len(seq.elems):
+        raise GoPanic(f"index out of range [{index}] with length {len(seq.elems)}")
+    return index
+
+
+_HANDLERS = {
+    ir.MakeChan: Interpreter._exec_make_chan,
+    ir.MakeMutex: Interpreter._exec_make_mutex,
+    ir.MakeWaitGroup: Interpreter._exec_make_wait_group,
+    ir.MakeCond: Interpreter._exec_make_cond,
+    ir.CondWait: Interpreter._exec_cond_wait,
+    ir.CondSignal: Interpreter._exec_cond_signal,
+    ir.MakeContext: Interpreter._exec_make_context,
+    ir.MakeSlice: Interpreter._exec_make_slice,
+    ir.MakeStruct: Interpreter._exec_make_struct,
+    ir.Send: Interpreter._exec_send,
+    ir.Recv: Interpreter._exec_recv,
+    ir.Close: Interpreter._exec_close,
+    ir.Lock: Interpreter._exec_lock,
+    ir.Unlock: Interpreter._exec_unlock,
+    ir.WgAdd: Interpreter._exec_wg_add,
+    ir.WgDone: Interpreter._exec_wg_done,
+    ir.WgWait: Interpreter._exec_wg_wait,
+    ir.Go: Interpreter._exec_go,
+    ir.Call: Interpreter._exec_call,
+    ir.Defer: Interpreter._exec_defer,
+    ir.Fatal: Interpreter._exec_fatal,
+    ir.Sleep: Interpreter._exec_sleep,
+    ir.Println: Interpreter._exec_println,
+    ir.BinOp: Interpreter._exec_bin_op,
+    ir.UnOp: Interpreter._exec_un_op,
+    ir.Assign: Interpreter._exec_assign,
+    ir.FieldGet: Interpreter._exec_field_get,
+    ir.FieldSet: Interpreter._exec_field_set,
+    ir.IndexGet: Interpreter._exec_index_get,
+    ir.IndexSet: Interpreter._exec_index_set,
+    ir.CtxDone: Interpreter._exec_ctx_done,
+    ir.Jump: Interpreter._exec_jump,
+    ir.CondJump: Interpreter._exec_cond_jump,
+    ir.Select: Interpreter._exec_select,
+    ir.RangeNext: Interpreter._exec_range_next,
+    ir.Return: Interpreter._exec_return,
+    ir.Panic: Interpreter._exec_panic,
+}

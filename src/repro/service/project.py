@@ -28,6 +28,7 @@ swapping in a broken program.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import os
 from dataclasses import dataclass, field
@@ -89,7 +90,7 @@ def project_source_paths(path: str) -> List[str]:
             raise FileNotFoundError(f"no .go files under {path}")
         return [os.path.join(path, n) for n in names]
     if not os.path.exists(path):
-        raise FileNotFoundError(path)
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     return [path]
 
 

@@ -664,6 +664,19 @@ class TestUnloadableInput:
         assert "Traceback" not in proc.stderr
         assert proc.stderr == f"cannot load project {path}: {detail}\n"
 
+    @pytest.mark.parametrize(
+        "argv", [["serve"], ["watch", "--cycles", "0"]], ids=lambda argv: argv[0]
+    )
+    def test_daemon_commands_say_a_missing_file_is_missing(self, tmp_path, argv):
+        import subprocess
+
+        path, detail = self._input(tmp_path, "missing")
+        proc = TestExitCodeRegression._run(
+            [argv[0], path, *argv[1:]], stdin=subprocess.DEVNULL
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == f"cannot load project {path}: {detail}\n"
+
     @pytest.mark.parametrize("kind", ["parse", "build"])
     @pytest.mark.parametrize("command", ["serve", "watch"])
     def test_daemon_commands_load_like_file_commands(self, tmp_path, kind, command, capsys):

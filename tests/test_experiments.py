@@ -147,13 +147,18 @@ class TestEffortGate:
         """The first 100 seed-0 fuzz triages at ``CampaignConfig`` defaults
         make a fixed number of runs and interpreter steps. Each exploration
         stops at its first leaking run; the full search makes 5,275 runs
-        and 168,227 steps."""
-        report = run_campaign(0, 100)
+        and 168,227 steps. Their sched decisions build 23,255 step
+        footprints (``explore.footprints``): one where a visibility check
+        cannot tell from the instruction's type, one per candidate of a
+        branch point and one to wake the sleep set."""
+        collector = Collector("effort")
+        report = run_campaign(0, 100, collector=collector)
         effort = {
             "runs": sum(t.runs for t in report.triages),
             "steps": sum(t.total_steps for t in report.triages),
+            "footprints": collector.counters["explore.footprints"],
         }
-        assert effort == {"runs": 2178, "steps": 61156}
+        assert effort == {"runs": 2178, "steps": 61156, "footprints": 23255}
 
     def test_daemon_edit_loop_does_the_pinned_work(self, tmp_path):
         """A daemon serving Docker split into one file per template

@@ -7,8 +7,9 @@ tests pin the search to the one that replayed every prefix from ``main``:
 * golden digests of whole explorations — every ``Exploration`` field,
   every outcome (signature, seed, ``steps``, ``goroutine_steps``,
   ``choice_trace``) and the ``explore.*`` / ``run.*`` counters of a
-  ``Collector``, minus the two counters checkpoints introduced. They
-  digest the full search (``every_outcome=True``);
+  ``Collector``, minus the two counters checkpoints introduced and the
+  footprint count, which measures how a decision is computed, not what
+  it decides. They digest the full search (``every_outcome=True``);
 * the first-leak prefix oracle: the default search, which stops at its
   first leaking run, is the full search cut after that run;
 * a replay property that needs no checkpoint code: each explored outcome,
@@ -62,8 +63,9 @@ from repro.ssa.builder import build_program
 
 from tests.test_explorer import RARE_RACE, TINY_RACE, TINY_SELECT
 
-#: counters added with checkpoints; the goldens predate them
-CHECKPOINT_COUNTERS = ("explore.checkpoints", "explore.restored-steps")
+#: counters added with checkpoints, and the count of footprints the
+#: decisions build; the goldens predate them
+CHECKPOINT_COUNTERS = ("explore.checkpoints", "explore.restored-steps", "explore.footprints")
 
 POOL = 100
 

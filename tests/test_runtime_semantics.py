@@ -135,6 +135,44 @@ class TestPanicsAndDefers:
         assert result.output == ["work", "joined"]
 
 
+class TestRuntimePanics:
+    """A bad index or a negative size panics with Go's runtime message
+    instead of crashing the interpreter or being silently accepted."""
+
+    @pytest.mark.parametrize(
+        "body,message",
+        [
+            ("\ts := make([]int, 2)\n\ti := 5\n\tx := s[i]\n\tprintln(x)\n",
+             "index out of range [5] with length 2"),
+            ("\ts := make([]int, 2)\n\ti := 2\n\ts[i] = 7\n",
+             "index out of range [2] with length 2"),
+            ("\ts := make([]int, 2)\n\ti := 0 - 1\n\tx := s[i]\n\tprintln(x)\n",
+             "index out of range [-1]"),
+            ("\ts := make([]int, 2)\n\ti := 0 - 1\n\ts[i] = 7\n\tprintln(s[1])\n",
+             "index out of range [-1]"),
+            ("\tn := 0 - 2\n\tc := make(chan int, n)\n\tprintln(len(c))\n",
+             "makechan: size out of range"),
+            ("\tn := 0 - 2\n\ts := make([]int, n)\n\tprintln(len(s))\n",
+             "makeslice: len out of range"),
+        ],
+        ids=["get-past-end", "set-at-length", "get-negative", "set-negative",
+             "makechan-negative", "makeslice-negative"],
+    )
+    def test_go_runtime_panic(self, body, message):
+        result = run("func main() {\n" + body + "}")
+        assert result.panicked
+        assert result.panic_message == message
+        assert result.output == []
+
+    def test_in_range_index_and_sizes_run(self):
+        result = run(
+            "func main() {\n\ts := make([]int, 2)\n\ti := 1\n\ts[i] = 7\n"
+            "\tc := make(chan int, 0)\n\tprintln(s[i], len(s), cap(c))\n}"
+        )
+        assert not result.panicked
+        assert result.output == ["7 2 0"]
+
+
 class TestClosuresAndScoping:
     def test_loop_variable_shared_capture(self):
         # MiniGo loop variables are a single register (pre-Go-1.22
