@@ -18,7 +18,7 @@ Typical use::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional
+from typing import List, Optional
 
 from repro.detector.gcatch import GCatchResult
 from repro.detector.reporting import BugReport
@@ -174,7 +174,6 @@ class Project:
         entry: str = "main",
         seed: int = 0,
         max_steps: int = 100_000,
-        args: Optional[List[Any]] = None,
         collector: Optional[Collector] = None,
     ) -> ExecutionResult:
         """Execute the program under one seeded schedule."""
@@ -183,7 +182,6 @@ class Project:
             entry=entry,
             seed=seed,
             max_steps=max_steps,
-            args=args,
             collector=self._obs(collector),
         )
 
@@ -192,7 +190,6 @@ class Project:
         entry: str = "main",
         seeds: int = 20,
         max_steps: int = 100_000,
-        args: Optional[List[Any]] = None,
         collector: Optional[Collector] = None,
     ) -> List[ExecutionResult]:
         """Explore many schedules (the paper's random-sleep validation)."""
@@ -201,7 +198,6 @@ class Project:
             entry=entry,
             seeds=seeds,
             max_steps=max_steps,
-            args=args,
             collector=self._obs(collector),
         )
 
@@ -210,8 +206,6 @@ class Project:
         entry: str = "main",
         max_runs: int = 512,
         max_steps: int = 20_000,
-        preemption_bound: Optional[int] = None,
-        args: Optional[List[Any]] = None,
         collector: Optional[Collector] = None,
     ) -> Exploration:
         """Systematically enumerate schedules (the explorer's dynamic oracle).
@@ -224,8 +218,6 @@ class Project:
             entry=entry,
             max_runs=max_runs,
             max_steps=max_steps,
-            preemption_bound=preemption_bound,
-            args=args,
             collector=self._obs(collector),
             every_outcome=True,
         )
@@ -235,7 +227,6 @@ class Project:
         trace: List[Choice],
         entry: str = "main",
         max_steps: int = 100_000,
-        args: Optional[List[Any]] = None,
         collector: Optional[Collector] = None,
     ) -> ExecutionResult:
         """Deterministically re-run one recorded choice trace."""
@@ -244,7 +235,6 @@ class Project:
             trace,
             entry=entry,
             max_steps=max_steps,
-            args=args,
             collector=self._obs(collector),
         )
 

@@ -308,7 +308,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
         entry=args.entry,
         max_runs=args.max_runs,
         max_steps=args.max_steps,
-        preemption_bound=args.preemption_bound,
     )
     if args.json:
         print(json_dumps(exploration.to_json()))
@@ -640,7 +639,8 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     try:
         plan = _fleet_build_plan(args)
     except (FileNotFoundError, ValueError) as exc:
-        print(f"cannot plan sweep: {exc}", file=sys.stderr)
+        where = f"{exc.filename}: " if getattr(exc, "filename", None) else ""
+        print(f"cannot plan sweep: {where}{_load_error(exc)}", file=sys.stderr)
         return 2
     if args.fleet_command == "plan":
         if args.json:
@@ -855,7 +855,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--entry", default="main")
     p.add_argument("--max-runs", type=_POSITIVE, default=512)
     p.add_argument("--max-steps", type=_POSITIVE, default=20_000)
-    p.add_argument("--preemption-bound", type=_int_at_least(0), default=None)
     p.add_argument("--replay", action="store_true",
                    help="re-run the first leaking trace to confirm it reproduces")
     p.add_argument("--json", action="store_true",

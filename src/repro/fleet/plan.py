@@ -23,6 +23,7 @@ units), a file unit covers one ``.go`` file.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import os
 from dataclasses import dataclass, field
@@ -106,7 +107,7 @@ def plan_corpus(root: str) -> SweepPlan:
     """
     root = os.path.abspath(root)
     if not os.path.exists(root):
-        raise FileNotFoundError(root)
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), root)
     plan = SweepPlan(kind="corpus", root=root)
     if os.path.isfile(root):
         if not root.endswith(".go"):

@@ -32,7 +32,6 @@ from repro.runtime.values import (
     MutexVal,
     SliceVal,
     StructVal,
-    TestingT,
     WaitGroupVal,
     restore_runtime_ids,
     runtime_ids,
@@ -237,7 +236,6 @@ _VALUE_COPIERS: Dict[type, Callable[[_GraphCopier, Any], Any]] = {
     MutexVal: _copy_shallow,
     WaitGroupVal: _copy_shallow,
     CondVal: _copy_shallow,
-    TestingT: _copy_shallow,
     ContextVal: _copy_context,
     CancelFunc: _copy_cancel,
     StructVal: _copy_struct,

@@ -20,10 +20,6 @@ replaces sampling with bounded systematic search:
   the last restores a copy; the last takes the checkpoint over. The search
   is the one a replay from ``main`` makes: the same runs, prunes, steps and
   traces;
-* one preemption rule serves fresh and replayed choices: a step counts
-  only when it is visible (its footprint is non-empty), so a checkpoint's
-  preemption counters are the ones a replay of its prefix would compute.
-  Only a preemption bound reads them, so only then are they kept;
 * commuting steps are not explored in both orders. Each pending step has a
   *footprint* (the channels/mutexes/waitgroups/shared variables it touches);
   steps with disjoint footprints are independent, and a sleep-set discipline
@@ -35,10 +31,10 @@ replaces sampling with bounded systematic search:
   Footprints are built only for the candidates of a branch point, whose
   siblings' sleep sets read them, and for the chosen step when the sleep
   set has something to wake;
-* exploration is bounded by a run budget, a per-run branching (depth) bound
-  and an optional preemption bound; :class:`Exploration.complete` reports
-  honestly whether the whole space within the program's semantics was
-  covered or the bound was hit;
+* exploration is bounded by a run budget and a per-run branching (depth)
+  cap, :data:`MAX_BRANCH`; :class:`Exploration.complete` reports honestly
+  whether the whole space within the program's semantics was covered or a
+  bound was hit;
 * by default the search stops after its first leaking run: once one
   schedule leaks, the oracle's verdict is "leak" whatever the search does
   next (model checkers stop at the first counterexample the same way).
@@ -86,6 +82,10 @@ Footprint = FrozenSet[Hashable]
 
 #: footprint token that conflicts with every other footprint
 CONFLICT_ALL = "*"
+
+#: branch points one run records at most; past the cap a run explores no
+#: further alternatives and the search is marked incomplete
+MAX_BRANCH = 96
 
 _EMPTY: Footprint = frozenset()
 _WILD: Footprint = frozenset({CONFLICT_ALL})
@@ -399,8 +399,6 @@ class _ResumePoint:
 
     pos: int
     state: Optional[Checkpoint]  # None once the last resuming run took it
-    preemptions: int  # the policy's preemption count before choice ``pos``
-    last_gid: Optional[int]
     waiting: int = 0  # work items that will resume from here
 
     def claim(self) -> Checkpoint:
@@ -424,13 +422,6 @@ class _BranchPoint:
     resume: _ResumePoint
 
 
-@dataclass
-class _Bounds:
-    max_branch: int
-    preemption_bound: Optional[int]
-    prune: bool
-
-
 class _DirectedPolicy(ChoicePolicy):
     """Replay a forced prefix, then extend depth-first, recording branches.
 
@@ -443,27 +434,23 @@ class _DirectedPolicy(ChoicePolicy):
         self,
         prefix: Sequence[Choice],
         branch_sleep: Dict[int, Footprint],
-        bounds: _Bounds,
+        prune: bool,
         resume: Optional[_ResumePoint] = None,
     ):
         super().__init__()
         self._prefix = list(prefix)
         self._branch_sleep = dict(branch_sleep)
-        self._bounds = bounds
+        self._prune = prune
         self.sleep: Dict[int, Footprint] = {}
         self.branch_points: List[_BranchPoint] = []
         self.truncated = False
         self.checkpoints = 0  # interpreter checkpoints this run took
         self.footprints = 0  # step footprints this run built
-        self._last_gid: Optional[int] = None
-        self._preemptions = 0
         # the resume point taken before the current step, for a select
         # branch point that step records
         self._step_resume: Optional[_ResumePoint] = None
         if resume is not None:
             self.trace = self._prefix[: resume.pos]
-            self._preemptions = resume.preemptions
-            self._last_gid = resume.last_gid
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -479,30 +466,13 @@ class _DirectedPolicy(ChoicePolicy):
             return bool(self._footprint(interp, goroutine))
         return seen
 
-    def _note_step(self, goroutine: Goroutine, options: Sequence[Goroutine], visible: bool) -> None:
-        """Count a preemption. Fresh and replayed choices share this one rule,
-        so a resumed run starts with the counters a replay would compute.
-        Only a preemption bound reads the counters, so only then is it run."""
-        if not visible:  # invisible steps don't count against the preemption budget
-            return
-        gid = goroutine.gid
-        if self._last_gid is not None and gid != self._last_gid:
-            if any(g.gid == self._last_gid for g in options):
-                self._preemptions += 1
-        self._last_gid = gid
-
     def _wake_dependents(self, fp: Footprint) -> None:
         self.sleep = {gid: slept for gid, slept in self.sleep.items() if independent(slept, fp)}
 
     def _resume_point(self, pos: int, interp: Interpreter) -> _ResumePoint:
-        """Checkpoint the run before sched choice ``pos`` is noted."""
+        """Checkpoint the run before sched choice ``pos``."""
         self.checkpoints += 1
-        return _ResumePoint(
-            pos=pos,
-            state=Checkpoint.take(interp),
-            preemptions=self._preemptions,
-            last_gid=self._last_gid,
-        )
+        return _ResumePoint(pos=pos, state=Checkpoint.take(interp))
 
     def _prepare_step(
         self,
@@ -514,10 +484,7 @@ class _DirectedPolicy(ChoicePolicy):
         """Before sched choice ``pos`` runs ``goroutine``: if its step will
         record a select branch point, that branch point resumes here."""
         self._step_resume = None
-        if (
-            len(self.branch_points) < self._bounds.max_branch
-            and interp.select_options(goroutine) > 1
-        ):
+        if len(self.branch_points) < MAX_BRANCH and interp.select_options(goroutine) > 1:
             self._step_resume = resume or self._resume_point(pos, interp)
 
     # -- decisions --------------------------------------------------------
@@ -537,14 +504,9 @@ class _DirectedPolicy(ChoicePolicy):
                 f"prefix choice {pos}: recorded {recorded.kind}/{recorded.options}, "
                 f"program offers {kind}/{len(options)}"
             )
-        last = pos == len(self._prefix) - 1
-        if kind == "sched":
-            chosen = options[recorded.index]
-            if last:  # the next choice, if a select, is a fresh one
-                self._prepare_step(pos, chosen, interp)
-            if self._bounds.preemption_bound is not None:
-                self._note_step(chosen, options, self._visible(interp, chosen))
-        if last:
+        if pos == len(self._prefix) - 1:
+            if kind == "sched":  # the next choice, if a select, is a fresh one
+                self._prepare_step(pos, options[recorded.index], interp)
             # the branch point itself: the parent already filtered this
             # sleep set against the substituted choice's footprint
             self.sleep = dict(self._branch_sleep)
@@ -553,14 +515,12 @@ class _DirectedPolicy(ChoicePolicy):
     def _decide_sched(self, pos: int, options: Sequence[Goroutine], interp: Any) -> int:
         """Run the first invisible option, else the first awake candidate,
         recording a branch point when other candidates are awake."""
-        bounds = self._bounds
-        counting = bounds.preemption_bound is not None
-        if len(options) == 1 and not self.sleep and not counting:
+        if len(options) == 1 and not self.sleep:
             # a lone goroutine with nothing asleep runs whatever its footprint
             self._prepare_step(pos, options[0], interp)
             return 0
         # timers in play (or pruning off): assume every step conflicts
-        wild = not bounds.prune or any(
+        wild = not self._prune or any(
             g.status == RUNNABLE and g.sleep_until > interp.clock
             for g in interp.goroutines.values()
         )
@@ -572,21 +532,11 @@ class _DirectedPolicy(ChoicePolicy):
         candidates = [i for i, g in enumerate(options) if g.gid not in self.sleep]
         if not candidates:
             raise _PrunedRun()
-        if (
-            counting
-            and self._preemptions >= bounds.preemption_bound
-            and self._last_gid is not None
-        ):
-            same = [i for i in candidates if options[i].gid == self._last_gid]
-            if same:
-                if len(candidates) > 1:
-                    self.truncated = True
-                candidates = same
 
         resume = None
         fp: Optional[Footprint] = None  # the chosen step's, once built
         if len(candidates) > 1:
-            if len(self.branch_points) < bounds.max_branch:
+            if len(self.branch_points) < MAX_BRANCH:
                 # the siblings' sleep sets read every candidate's footprint
                 fps = [_WILD if wild else self._footprint(interp, options[i]) for i in candidates]
                 fp = fps[0]
@@ -612,14 +562,11 @@ class _DirectedPolicy(ChoicePolicy):
             if fp is None:
                 fp = _WILD if wild else self._footprint(interp, goroutine)
             self._wake_dependents(fp)
-        if counting:
-            # past the invisible-step check every option is visible
-            self._note_step(goroutine, options, not wild or self._visible(interp, goroutine))
         return chosen
 
     def _decide_select(self, pos: int, options: Sequence[Any]) -> int:
         if len(options) > 1:
-            if len(self.branch_points) < self._bounds.max_branch:
+            if len(self.branch_points) < MAX_BRANCH:
                 resume = self._step_resume
                 assert resume is not None and resume.pos == pos - 1
                 self.branch_points.append(
@@ -687,9 +634,6 @@ class Exploration:
 
     def leaking(self) -> List[ExecutionResult]:
         return [r for r in self.outcomes if r.blocked_forever]
-
-    def clean(self) -> List[ExecutionResult]:
-        return [r for r in self.outcomes if not r.blocked_forever and not r.panicked]
 
     @property
     def any_leak(self) -> bool:
@@ -765,12 +709,9 @@ def explore(
     program: ir.Program,
     entry: str = "main",
     max_runs: int = 512,
-    max_branch: int = 96,
-    preemption_bound: Optional[int] = None,
     max_steps: int = 20_000,
     max_total_steps: Optional[int] = None,
     prune: bool = True,
-    args: Optional[List[Any]] = None,
     collector=None,
     every_outcome: bool = False,
 ) -> Exploration:
@@ -798,7 +739,6 @@ def explore(
     from repro.obs import NULL
 
     obs = collector or NULL
-    bounds = _Bounds(max_branch=max_branch, preemption_bound=preemption_bound, prune=prune)
     exploration = Exploration(entry=entry)
     stack: List[_WorkItem] = [_WorkItem(prefix=[], sleep={}, resume=None)]
     checkpoints = restored_steps = footprints = 0
@@ -815,7 +755,7 @@ def explore(
                     obs.count("explore.step-budget-exhausted")
                 break
             item = stack.pop()
-            policy = _DirectedPolicy(item.prefix, item.sleep, bounds, item.resume)
+            policy = _DirectedPolicy(item.prefix, item.sleep, prune, item.resume)
             checkpoint = None
             if item.resume is not None:
                 checkpoint = item.resume.claim()
@@ -826,7 +766,6 @@ def explore(
                     entry=entry,
                     seed=exploration.runs,
                     max_steps=max_steps,
-                    args=args,
                     policy=policy,
                     collector=collector,
                     checkpoint=checkpoint,

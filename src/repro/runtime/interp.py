@@ -4,18 +4,16 @@ The interpreter is the reproduction's testbed. Blocking semantics are
 implemented with *offers*: a goroutine that cannot complete a channel/mutex
 operation parks, publishing what it is waiting for; a running goroutine
 completes a parked partner's offer directly (rendezvous), matching the Go
-runtime. A seeded RNG drives both goroutine scheduling and ``select``'s
-choice among ready cases — the nondeterminism at the heart of bugs like
-Figure 1 of the paper.
+runtime. A choice policy (a seeded RNG, a replayed trace or the explorer)
+drives both goroutine scheduling and ``select``'s choice among ready cases —
+the nondeterminism at the heart of bugs like Figure 1 of the paper.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-import random
-
-from repro.runtime.choices import ChoicePolicy, RandomPolicy
+from repro.runtime.choices import ChoicePolicy
 from repro.ssa import ir
 from repro.ssa.builder import (
     DEFER_CLOSE,
@@ -37,7 +35,6 @@ from repro.runtime.values import (
     MutexVal,
     SliceVal,
     StructVal,
-    TestingT,
     WaitGroupVal,
     zero_value,
 )
@@ -122,16 +119,9 @@ class Goroutine:
 class Interpreter:
     """Holds all goroutines and executes single instructions."""
 
-    def __init__(
-        self,
-        program: ir.Program,
-        rng: random.Random,
-        policy: Optional[ChoicePolicy] = None,
-        collector=None,
-    ):
+    def __init__(self, program: ir.Program, policy: ChoicePolicy, collector=None):
         self.program = program
-        self.rng = rng
-        self.policy = policy if policy is not None else RandomPolicy(rng)
+        self.policy = policy
         self.collector = collector  # repro.obs.Collector | None (hot path: one check)
         self.goroutines: Dict[int, Goroutine] = {}
         self._next_gid = 0
@@ -412,9 +402,6 @@ class Interpreter:
         self._advance(frame)
 
     def _exec_fatal(self, goroutine: Goroutine, frame: Frame, instr: ir.Fatal) -> None:
-        testing = self.value_of(instr.testing, frame.env)
-        if isinstance(testing, TestingT):
-            testing.failed = True
         self.test_failed = True
         self._advance(frame)
 
@@ -454,18 +441,19 @@ class Interpreter:
 
     def _exec_index_get(self, goroutine: Goroutine, frame: Frame, instr: ir.IndexGet) -> None:
         env = frame.env
-        seq = self.value_of(instr.seq, env)
+        elems = _elements(self.value_of(instr.seq, env))
         index = int(self.value_of(instr.index, env) or 0)
-        value = seq.elems[_in_range(index, seq)] if isinstance(seq, SliceVal) else None
+        value = None if elems is None else elems[_in_range(index, len(elems))]
         self._store(env, instr.dst, value)
         self._advance(frame)
 
     def _exec_index_set(self, goroutine: Goroutine, frame: Frame, instr: ir.IndexSet) -> None:
         env = frame.env
         seq = self.value_of(instr.seq, env)
-        if isinstance(seq, SliceVal):
+        if seq is None or isinstance(seq, SliceVal):
+            elems = [] if seq is None else seq.elems  # a nil slice has length 0
             index = int(self.value_of(instr.index, env) or 0)
-            seq.elems[_in_range(index, seq)] = self.value_of(instr.value, env)
+            elems[_in_range(index, len(elems))] = self.value_of(instr.value, env)
         self._advance(frame)
 
     def _exec_ctx_done(self, goroutine: Goroutine, frame: Frame, instr: ir.CtxDone) -> None:
@@ -537,7 +525,7 @@ class Interpreter:
             if isinstance(value, Channel):
                 return len(value.buffer) if instr.op == "len" else value.capacity
             if isinstance(value, str):
-                return len(value)
+                return len(value.encode())  # a string's length is its UTF-8 bytes
             return 0
         raise GoPanic(f"unknown unary op {instr.op}")
 
@@ -860,12 +848,24 @@ class Interpreter:
             env.vars[param] = args[i] if i < len(args) else None
 
 
-def _in_range(index: int, seq: SliceVal) -> int:
-    """``index`` if it is in bounds for ``seq``; Go's panic otherwise."""
+def _elements(seq: Any) -> Optional[Sequence[Any]]:
+    """What ``seq[i]`` reads: a slice's elements, a string's UTF-8 bytes and
+    nothing for a nil slice; None for a value that has no elements."""
+    if isinstance(seq, SliceVal):
+        return seq.elems
+    if isinstance(seq, str):
+        return seq.encode()
+    if seq is None:
+        return ()
+    return None
+
+
+def _in_range(index: int, length: int) -> int:
+    """``index`` if it is in bounds for ``length`` elements; Go's panic otherwise."""
     if index < 0:
         raise GoPanic(f"index out of range [{index}]")
-    if index >= len(seq.elems):
-        raise GoPanic(f"index out of range [{index}] with length {len(seq.elems)}")
+    if index >= length:
+        raise GoPanic(f"index out of range [{index}] with length {length}")
     return index
 
 

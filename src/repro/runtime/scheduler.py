@@ -20,20 +20,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.runtime.checkpoint import Checkpoint
 from repro.runtime.choices import Choice, ChoicePolicy, RandomPolicy, ReplayPolicy
 from repro.runtime.interp import BLOCKED, RUNNABLE, Goroutine, Interpreter
-from repro.runtime.values import (
-    Channel,
-    ContextVal,
-    Env,
-    SliceVal,
-    StructVal,
-    TestingT,
-    reset_runtime_ids,
-)
+from repro.runtime.values import Env, reset_runtime_ids
 from repro.ssa import ir
 
 
@@ -75,39 +67,16 @@ class ExecutionResult:
         return sorted(set(lines))
 
 
-def _synthesize_arg(kind: str) -> Any:
-    """Default argument values when running an entry function directly."""
-    if kind == "testing":
-        return TestingT()
-    if kind == "context":
-        return ContextVal(Channel(0, "unit"))
-    if kind == "chan":
-        return Channel(0, "any")
-    if kind == "int":
-        return 0
-    if kind == "bool":
-        return False
-    if kind == "string":
-        return ""
-    if kind.startswith("slice"):
-        return SliceVal([])
-    if kind.startswith("struct:"):
-        return StructVal(kind.split(":", 1)[1])
-    return None
-
-
 def run_program(
     program: ir.Program,
     entry: str = "main",
     seed: int = 0,
     max_steps: int = 100_000,
-    arg_kinds: Optional[Dict[str, str]] = None,
-    args: Optional[List[Any]] = None,
     policy: Optional[ChoicePolicy] = None,
     collector=None,
     checkpoint: Optional[Checkpoint] = None,
 ) -> ExecutionResult:
-    """Execute ``entry`` under one schedule.
+    """Execute ``entry`` under one schedule; its parameters start nil.
 
     Without an explicit ``policy`` the schedule is drawn from a seeded RNG
     (the paper's random-sleep-style sampling); passing a policy lets the
@@ -115,29 +84,29 @@ def run_program(
     ``collector`` (a :class:`repro.obs.Collector`) receives run counters;
     when ``None`` the scheduling loop pays no instrumentation cost.
 
+    One loop runs both phases of a run, on one budget of ``max_steps``. A
+    step counts in ``steps`` while the entry goroutine runs and in the
+    interpreter's ``drain_steps`` after it returned. Nothing runnable and
+    nothing asleep is a global deadlock while the entry goroutine runs;
+    after it returned it is quiescence, and whatever is still blocked has
+    leaked — the goroutines a BMOC bug parks forever.
+
     ``checkpoint`` (a :class:`~repro.runtime.checkpoint.Checkpoint`, consumed)
     resumes a run that took it instead of starting ``entry``: the loop picks
     up its step counts, so ``steps``, ``hit_step_limit`` and
     ``goroutine_steps`` come out as if the run had executed from the start.
     ``policy.trace`` must then hold the choices made before the checkpoint.
     """
-    rng = random.Random(seed)
     if policy is None:
-        policy = RandomPolicy(rng)
-    interp = Interpreter(program, rng, policy=policy, collector=collector)
+        policy = RandomPolicy(random.Random(seed))
+    interp = Interpreter(program, policy, collector=collector)
     if checkpoint is None:
         reset_runtime_ids()
         entry_func = program.functions.get(entry)
         if entry_func is None:
             raise KeyError(f"no entry function {entry!r}")
         env = Env()
-        if args is not None:
-            for name, value in zip(entry_func.params, args):
-                env.vars[name] = value
-        else:
-            kinds = arg_kinds or {}
-            for name in entry_func.params:
-                env.vars[name] = _synthesize_arg(kinds.get(name, "any"))
+        env.vars = dict.fromkeys(entry_func.params)
         main = interp.spawn(entry_func, env)
     else:
         checkpoint.restore(interp)
@@ -146,25 +115,23 @@ def run_program(
             collector.count("run.goroutines", len(interp.goroutines))
     result = ExecutionResult(seed=seed)
 
-    while interp.steps < max_steps:
+    while interp.steps + interp.drain_steps < max_steps:
         if interp.panicked:
-            break
-        if main.done:
-            if not _drain(interp, main, max_steps - interp.steps):
-                result.hit_step_limit = True
             break
         runnable = _runnable(interp)
         if not runnable:
             if _only_sleepers(interp):
                 interp.clock += 1  # let time pass
                 continue
-            result.global_deadlock = True
+            result.global_deadlock = not main.done
             break
-        goroutine = runnable[policy.pick("sched", runnable, interp)]
-        interp.step(goroutine)
-        interp.steps += 1
-
-    if interp.steps >= max_steps:
+        entry_running = not main.done
+        interp.step(runnable[policy.pick("sched", runnable, interp)])
+        if entry_running:
+            interp.steps += 1
+        else:
+            interp.drain_steps += 1
+    else:
         result.hit_step_limit = True
 
     _collect(interp, main, result)
@@ -198,26 +165,6 @@ def _only_sleepers(interp: Interpreter) -> bool:
     return has_sleeper
 
 
-def _drain(interp: Interpreter, main: Goroutine, budget: int) -> bool:
-    """After main exits, let remaining goroutines run until quiescent.
-
-    Whatever is still blocked afterwards is blocked *forever* — the leaked
-    goroutines a BMOC bug produces.
-    """
-    while interp.drain_steps < budget:
-        if interp.panicked:
-            return True
-        runnable = [g for g in _runnable(interp) if g is not main]
-        if not runnable:
-            if _only_sleepers(interp):
-                interp.clock += 1
-                continue
-            return True
-        interp.step(runnable[interp.policy.pick("sched", runnable, interp)])
-        interp.drain_steps += 1
-    return False
-
-
 def _collect(interp: Interpreter, main: Goroutine, result: ExecutionResult) -> None:
     result.steps = interp.steps
     result.output = list(interp.output)
@@ -245,14 +192,11 @@ def explore_schedules(
     entry: str = "main",
     seeds: int = 20,
     max_steps: int = 100_000,
-    args: Optional[List[Any]] = None,
     collector=None,
 ) -> List[ExecutionResult]:
     """Run many seeds, mimicking the paper's random-sleep stress validation."""
     return [
-        run_program(
-            program, entry=entry, seed=seed, max_steps=max_steps, args=args, collector=collector
-        )
+        run_program(program, entry=entry, seed=seed, max_steps=max_steps, collector=collector)
         for seed in range(seeds)
     ]
 
@@ -263,7 +207,6 @@ def replay_trace(
     entry: str = "main",
     seed: int = 0,
     max_steps: int = 100_000,
-    args: Optional[List[Any]] = None,
     collector=None,
 ) -> ExecutionResult:
     """Re-execute a recorded choice trace; the result is bit-identical.
@@ -277,7 +220,6 @@ def replay_trace(
         entry=entry,
         seed=seed,
         max_steps=max_steps,
-        args=args,
         policy=ReplayPolicy(trace),
         collector=collector,
     )

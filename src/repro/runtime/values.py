@@ -195,11 +195,6 @@ class Closure:
         return f"<closure {self.func_name}>"
 
 
-class TestingT:
-    def __init__(self):
-        self.failed = False
-
-
 class Env:
     """A lexical environment frame; closures chain to their parent.
 

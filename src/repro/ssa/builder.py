@@ -281,6 +281,10 @@ class _FunctionBuilder:
             return
         if isinstance(target, ast.IndexExpr):
             seq = self.eval(target.seq)
+            if self.kind_of(seq) == "string":
+                raise BuildError(
+                    f"line {line}: cannot assign to a string's byte (strings are immutable)"
+                )
             index = self.eval(target.index)
             self.emit(ir.IndexSet(line=line, seq=seq, index=index, value=value))
             return

@@ -220,6 +220,12 @@ class TestErrors:
         with pytest.raises(BuildError):
             build("func f() {\n\tcontinue\n}")
 
+    @pytest.mark.parametrize("decl", ['m := "ab"', "var m string"])
+    def test_string_byte_assignment(self, decl):
+        # Go strings are immutable: go build rejects ``m[0] = ...``
+        with pytest.raises(BuildError, match="line 4: .*strings are immutable"):
+            build("func f() {\n\t" + decl + "\n\tm[0] = 1\n}")
+
 
 class TestProgramStructure:
     def test_kinds_map_populated(self):

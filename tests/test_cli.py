@@ -152,7 +152,6 @@ class TestBudgetValidation:
         [
             ["explore", "FILE", "--max-runs", "0"],
             ["explore", "FILE", "--max-steps", "0"],
-            ["explore", "FILE", "--preemption-bound", "-1"],
             ["diffcheck", "--max-runs", "0"],
             ["diffcheck", "--max-steps", "-5"],
             ["stats", "FILE", "--max-runs", "0"],
@@ -230,10 +229,6 @@ class TestBudgetValidation:
     def test_zero_watch_interval_is_accepted(self, buggy_file, capsys):
         assert main(["watch", buggy_file, "--cycles", "1", "--interval", "0"]) == 1
 
-    def test_zero_preemption_bound_is_accepted(self, clean_file, capsys):
-        assert main(["explore", clean_file, "--preemption-bound", "0"]) == 0
-        assert "0 leaking" in capsys.readouterr().out
-
 
 def _subcommands(parser: argparse.ArgumentParser) -> dict:
     [action] = [
@@ -286,6 +281,7 @@ class TestCLISurface:
             ["serve", "FILE", "--quota-burst", "1"],
             ["serve", "FILE", "--tenant-max-queue", "1"],
             ["client", "detect", "--port", "1", "--priority", "high"],
+            ["explore", "FILE", "--preemption-bound", "1"],
         ],
         ids=lambda argv: "-".join(a.strip("-") for a in argv if a != "FILE"),
     )
@@ -686,6 +682,18 @@ class TestUnloadableInput:
         assert err.startswith(f"cannot load project {path}: ")
         assert detail in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["sweep", "plan"])
+    def test_fleet_says_a_missing_corpus_is_missing(self, tmp_path, command, capsys):
+        path = str(tmp_path / "no-such-dir")
+        assert main(["fleet", command, path]) == 2
+        assert capsys.readouterr().err == (
+            f"cannot plan sweep: {path}: No such file or directory\n"
+        )
+
+    def test_fleet_says_a_corpus_without_go_files_has_none(self, tmp_path, capsys):
+        assert main(["fleet", "plan", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"cannot plan sweep: no .go files under {tmp_path}\n"
 
 
 class TestUnknownEntry:

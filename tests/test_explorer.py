@@ -153,11 +153,6 @@ class TestBoundsHonesty:
         assert not exploration.complete
         assert not exploration.leak_free  # no proof from a truncated search
 
-    def test_preemption_bound_zero_truncates(self):
-        program = build_program(RARE_RACE, "rare.go")
-        bounded = explore(program, preemption_bound=0)
-        assert not bounded.complete
-
     def test_leaky_program_counts_schedules(self):
         exploration = explore(build_program(LEAKY, "leaky.go"), every_outcome=True)
         assert exploration.complete

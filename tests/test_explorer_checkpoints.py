@@ -15,11 +15,11 @@ tests pin the search to the one that replayed every prefix from ``main``:
 * a replay property that needs no checkpoint code: each explored outcome,
   replayed from ``main`` with ``replay_trace``, is the same result;
 * a reference search that replays every run from ``main``, compared with
-  ``explore`` under bounds the goldens leave out: preemption bounds,
-  pruning off, timers, and ``select`` branch points;
-* the single preemption rule: a fresh run and a replay of its prefix
-  agree on the preemption counters at every branch point;
-* the checkpoint copier: identity kept, IR shared, unknown types refused.
+  ``explore`` under settings the goldens leave out: pruning off, timers,
+  ``select`` branch points and a branch cap of one;
+* the checkpoint copier: identity kept, IR shared, unknown types refused,
+  and a run resumed in either phase (entry goroutine running or returned)
+  equal to the uninterrupted one.
 
 The goldens are sha256 digests (first 16 hex digits) captured on the
 replay-from-``main`` explorer (commit 5df8f5d), with this module copied
@@ -34,7 +34,6 @@ into that checkout and run from its root::
 
 import hashlib
 import json
-import random
 
 import pytest
 
@@ -42,14 +41,14 @@ from repro.corpus.bugset import build_bug_set
 from repro.fuzz.campaign import CampaignConfig
 from repro.fuzz.generator import generate_program
 from repro.obs import Collector
-from repro.runtime import scheduler
+from repro.runtime import explorer, scheduler
 from repro.runtime.checkpoint import Checkpoint
 from repro.runtime.choices import Choice, ChoicePolicy
 from repro.runtime.explorer import (
+    STOP_EXHAUSTED,
     STOP_FIRST_LEAK,
     STOP_MAX_RUNS,
     Exploration,
-    _Bounds,
     _DirectedPolicy,
     _PrunedRun,
     _sibling_sleep,
@@ -336,30 +335,13 @@ func main() {
 """
 
 
-class _CounterProbe(_DirectedPolicy):
-    """Records the preemption counters before every decision."""
-
-    def __init__(self, prefix, branch_sleep, bounds):
-        super().__init__(prefix, branch_sleep, bounds)
-        self.counters = {}
-
-    def _decide(self, kind, options, interp):
-        self.counters[len(self.trace)] = (self._preemptions, self._last_gid)
-        return super()._decide(kind, options, interp)
-
-
-def _explore_from_main(program, bounds, max_runs):
-    """The reference search: ``explore`` with every run replayed from ``main``.
-
-    Also returns how many child runs started their branch choice with other
-    preemption counters than the run that recorded the branch point.
-    """
+def _explore_from_main(program, prune, max_runs):
+    """The reference search: ``explore`` with every run replayed from ``main``."""
     exploration = Exploration(entry="main")
-    mismatched = 0
-    stack = [([], {}, None)]
+    stack = [([], {})]
     while stack and exploration.runs < max_runs:
-        prefix, sleep, expected = stack.pop()
-        policy = _CounterProbe(prefix, sleep, bounds)
+        prefix, sleep = stack.pop()
+        policy = _DirectedPolicy(prefix, sleep, prune)
         try:
             result = run_program(
                 program, seed=exploration.runs, max_steps=20_000, policy=policy
@@ -368,8 +350,6 @@ def _explore_from_main(program, bounds, max_runs):
             result = None
             exploration.pruned_runs += 1
         exploration.runs += 1
-        if expected is not None and policy.counters[len(prefix) - 1] != expected:
-            mismatched += 1
         if result is not None:
             exploration.total_steps += result.steps
             exploration.record(result)
@@ -383,63 +363,44 @@ def _explore_from_main(program, bounds, max_runs):
             for j in range(1, len(bp.candidates)):
                 exploration.backtracks += 1
                 child = base + [Choice(bp.kind, bp.options, bp.candidates[j])]
-                stack.append((child, _sibling_sleep(bp, j), policy.counters[bp.pos]))
+                stack.append((child, _sibling_sleep(bp, j)))
     if stack:
         exploration.complete = False
-    return exploration, mismatched
+    return exploration
 
 
 _BOUNDED = [
-    pytest.param(TINY_RACE, 1, False, 64, id="tiny-race-p1-unpruned"),
-    pytest.param(RARE_RACE, 3, False, 300, id="rare-race-p3-unpruned"),
-    pytest.param(RARE_RACE, 1, True, 512, id="rare-race-p1"),
-    pytest.param(TINY_SELECT, None, False, 512, id="tiny-select-unpruned"),
-    pytest.param(TIMER_SELECT, None, True, 512, id="timer-select"),
-    pytest.param(TIMER_SELECT, 2, True, 512, id="timer-select-p2"),
-    pytest.param(SIBLING_SELECT, None, True, 512, id="sibling-select"),
+    pytest.param(TINY_RACE, False, 64, id="tiny-race-unpruned"),
+    pytest.param(RARE_RACE, False, 300, id="rare-race-unpruned"),
+    pytest.param(RARE_RACE, True, 512, id="rare-race"),
+    pytest.param(TINY_SELECT, False, 512, id="tiny-select-unpruned"),
+    pytest.param(TIMER_SELECT, True, 512, id="timer-select"),
+    pytest.param(SIBLING_SELECT, True, 512, id="sibling-select"),
 ]
 
 
-class TestPreemptionRule:
-    @pytest.mark.parametrize(
-        "source,bound,max_runs",
-        [(TINY_RACE, 1, 64), (RARE_RACE, 3, 300)],
-        ids=["tiny-race", "rare-race"],
-    )
-    def test_fresh_and_replayed_choices_count_alike(self, source, bound, max_runs):
-        # pruning off takes the all-conflicting footprint path, where fresh
-        # choices used to count invisible steps that replays skip
-        program = build_program(source, "race.go")
-        bounds = _Bounds(max_branch=96, preemption_bound=bound, prune=False)
-        reference, mismatched = _explore_from_main(program, bounds, max_runs)
-        assert reference.backtracks > 0
-        assert mismatched == 0
+def _search_mismatches(program, prune, max_runs):
+    """Fields where ``explore`` departs from the replay-from-``main`` reference."""
+    reference = _explore_from_main(program, prune, max_runs)
+    got = explore(program, max_runs=max_runs, prune=prune, max_steps=20_000)
+    fields = [f for f in _SEARCH_FIELDS if getattr(got, f) != getattr(reference, f)]
+    return fields, got
 
 
 class TestBoundedSearchMatchesReference:
-    @pytest.mark.parametrize("source,bound,prune,max_runs", _BOUNDED)
-    def test_checkpointed_search_is_the_replayed_one(self, source, bound, prune, max_runs):
-        program = build_program(source, "bounded.go")
-        bounds = _Bounds(max_branch=96, preemption_bound=bound, prune=prune)
-        reference, _ = _explore_from_main(program, bounds, max_runs)
-        got = explore(
-            program,
-            max_runs=max_runs,
-            preemption_bound=bound,
-            prune=prune,
-            max_steps=20_000,
-        )
-        for name in (
-            "runs",
-            "pruned_runs",
-            "step_limited_runs",
-            "backtracks",
-            "total_steps",
-            "complete",
-            "outcomes",
-        ):
-            assert getattr(got, name) == getattr(reference, name), name
-        assert reference.backtracks > 0
+    @pytest.mark.parametrize("source,prune,max_runs", _BOUNDED)
+    def test_checkpointed_search_is_the_replayed_one(self, source, prune, max_runs):
+        mismatched, got = _search_mismatches(build_program(source, "bounded.go"), prune, max_runs)
+        assert mismatched == []
+        assert got.backtracks > 0
+
+    def test_branch_cap_cuts_the_search_like_the_reference(self, monkeypatch):
+        # a run records one branch point at most, so runs with more are cut
+        monkeypatch.setattr(explorer, "MAX_BRANCH", 1)
+        mismatched, got = _search_mismatches(build_program(RARE_RACE, "rare.go"), True, 512)
+        assert mismatched == []
+        assert not got.complete and got.stopped == STOP_EXHAUSTED
+        assert got.backtracks > 0
 
 
 class TestResumedRuns:
@@ -470,7 +431,7 @@ class _FirstChoice(ChoicePolicy):
 class TestCheckpointCopies:
     def _parked_main(self):
         program = build_program(RARE_RACE, "rare.go")
-        interp = Interpreter(program, random.Random(0))
+        interp = Interpreter(program, _FirstChoice())
         env = Env()
         chan = Channel(0, "int")
         env.vars["ch"] = chan
@@ -511,21 +472,25 @@ class TestCheckpointCopies:
     def test_resumed_run_equals_the_uninterrupted_one(self):
         program = build_program(RARE_RACE, "rare.go")
         whole = run_program(program, policy=_FirstChoice())
-        assert len(whole.choice_trace) > 12
-        for at in (0, 5, 12):
+        assert len(whole.choice_trace) > 20
+        draining = []
+        for at in (0, 5, 12, 20):
             taker = _FirstChoice(at=at)
             assert run_program(program, policy=taker) == whole
+            draining.append(taker.checkpoint.drain_steps > 0)
             resumed = run_program(
                 program,
                 policy=_FirstChoice(trace=whole.choice_trace[:at]),
                 checkpoint=taker.checkpoint,
             )
             assert resumed == whole
+        # main returns at choice 13: the last checkpoint resumes the drain
+        assert draining == [False, False, False, True]
 
     def test_restore_resumes_runtime_ids(self):
         interp, _, _ = self._parked_main()
         checkpoint = Checkpoint.take(interp)
         minted = Channel(0).id
         Channel(0)  # the live run goes on minting
-        checkpoint.restore(Interpreter(interp.program, random.Random(0)))
+        checkpoint.restore(Interpreter(interp.program, _FirstChoice()))
         assert Channel(0).id == minted

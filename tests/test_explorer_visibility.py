@@ -105,14 +105,13 @@ class TestVisibilityParity:
         [
             (TINY_RACE, {}),
             (RARE_RACE, {}),
-            (RARE_RACE, {"preemption_bound": 1}),
             (TINY_SELECT, {}),
             (TIMER_SELECT, {}),
             (SIBLING_SELECT, {}),
             (CALL_INTO_SHARED, {}),
         ],
-        ids=["tiny-race", "rare-race", "rare-race-p1", "tiny-select", "timer-select",
-             "sibling-select", "call-into-shared"],
+        ids=["tiny-race", "rare-race", "tiny-select", "timer-select", "sibling-select",
+             "call-into-shared"],
     )
     def test_explorer_unit_programs(self, probe, source, options):
         exploration = explore(build_program(source, "unit.go"), every_outcome=True, **options)

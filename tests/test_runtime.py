@@ -1,7 +1,9 @@
 """Tests for the runtime: channel semantics, scheduling, deadlock oracle."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.runtime.choices import ChoicePolicy
 from repro.runtime.scheduler import explore_schedules, run_program
 from tests.conftest import build
 
@@ -171,6 +173,13 @@ class TestDefersAndPanics:
         assert result.test_failed
         assert result.output == []
 
+    def test_entry_parameters_start_nil(self):
+        result = run(
+            'func TestX(t *testing.T) {\n\tif t == nil {\n\t\tprintln("nil t")\n\t}\n}',
+            entry="TestX",
+        )
+        assert result.output == ["nil t"]
+
 
 class TestDeadlockOracle:
     def test_global_deadlock_detected(self):
@@ -218,6 +227,76 @@ class TestDeadlockOracle:
     def test_step_limit_reported(self):
         result = run("func main() {\n\tfor {\n\t\tprintln(\"spin\")\n\t}\n}", max_steps=200)
         assert result.hit_step_limit
+
+
+class _FirstRunnable(ChoicePolicy):
+    """Always steps the first runnable goroutine: main until it blocks or returns."""
+
+    def _decide(self, kind, options, interp):
+        return 0
+
+
+# main takes 5 steps and returns while its child still runs; the child's
+# sixth step parks it on a send nobody receives
+ORPHAN = """package main
+
+func main() {
+	ch := make(chan int)
+	go func() {
+		x := 0
+		x = x + 1
+		x = x + 1
+		ch <- x
+	}()
+	println("bye")
+}
+"""
+
+# main parks on its send at step 3 and the child on its own at step 4
+STUCK = """package main
+
+func main() {
+	ch := make(chan int)
+	go func() {
+		ch <- 1
+	}()
+	ch <- 2
+	<-ch
+	<-ch
+}
+"""
+
+
+class TestRunPhases:
+    """One loop runs both phases of a run on one step budget: a step counts
+    in ``steps`` while main runs and in the drain after it returned. Nothing
+    runnable is a global deadlock while main runs and quiescence after, and
+    a budget that ends the loop sets ``hit_step_limit``."""
+
+    @pytest.mark.parametrize(
+        "source,max_steps,expected",
+        [
+            (ORPHAN, 5, (5, 5, True, False, [], [])),
+            (ORPHAN, 8, (5, 8, True, False, [], [])),
+            (ORPHAN, 100, (5, 11, False, False, [], [("main$lit1", 9, "send")])),
+            (STUCK, 4, (4, 4, True, False, [], [("main", 8, "send"), ("main$lit1", 6, "send")])),
+            (STUCK, 100, (4, 4, False, True, [8, 6], [("main$lit1", 6, "send")])),
+        ],
+        ids=["orphan-ends-on-mains-last-step", "orphan-ends-in-the-drain", "orphan-ample",
+             "stuck-ends-on-the-last-park", "stuck-ample"],
+    )
+    def test_budget_and_phase_decide_the_outcome(self, source, max_steps, expected):
+        result = run_program(build(source), max_steps=max_steps, policy=_FirstRunnable())
+        leaked = [(l.function, l.blocked_line, l.blocked_kind) for l in result.leaked]
+        got = (
+            result.steps,
+            sum(result.goroutine_steps.values()),
+            result.hit_step_limit,
+            result.global_deadlock,
+            result.deadlock_lines,
+            leaked,
+        )
+        assert got == expected
 
 
 class TestSchedulerProperties:

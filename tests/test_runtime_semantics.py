@@ -154,9 +154,18 @@ class TestRuntimePanics:
              "makechan: size out of range"),
             ("\tn := 0 - 2\n\ts := make([]int, n)\n\tprintln(len(s))\n",
              "makeslice: len out of range"),
+            ("\tvar s []int\n\tx := s[0]\n\tprintln(x)\n",
+             "index out of range [0] with length 0"),
+            ("\tvar s []int\n\ts[1] = 2\n\tprintln(len(s))\n",
+             "index out of range [1] with length 0"),
+            ('\tm := "ab"\n\ti := 5\n\tprintln(m[i])\n',
+             "index out of range [5] with length 2"),
+            ('\tm := "ab"\n\ti := 0 - 1\n\tprintln(m[i])\n',
+             "index out of range [-1]"),
         ],
         ids=["get-past-end", "set-at-length", "get-negative", "set-negative",
-             "makechan-negative", "makeslice-negative"],
+             "makechan-negative", "makeslice-negative", "nil-slice-get", "nil-slice-set",
+             "string-get-past-end", "string-get-negative"],
     )
     def test_go_runtime_panic(self, body, message):
         result = run("func main() {\n" + body + "}")
@@ -171,6 +180,14 @@ class TestRuntimePanics:
         )
         assert not result.panicked
         assert result.output == ["7 2 0"]
+
+    def test_string_index_reads_a_utf8_byte(self):
+        result = run(
+            'func main() {\n\tm := "ab\u00e9"\n\ti := len(m) - 1\n'
+            "\tprintln(m[0], m[1], len(m), m[i])\n}"
+        )
+        assert not result.panicked
+        assert result.output == ["97 98 4 169"]
 
 
 class TestClosuresAndScoping:
