@@ -12,6 +12,7 @@ firewalled ``run_gcatch`` path, and separately asserts the dormant
 
 from __future__ import annotations
 
+import gc
 import time
 
 from benchmarks.conftest import record_report
@@ -25,6 +26,9 @@ BUDGET = 1.10  # firewalled pipeline within 10% of the bare inner loop
 
 
 def _gcatch_corpus(programs) -> float:
+    # a full collection inside the timer would land on whichever side
+    # happened to run when it came due, so collect before timing
+    gc.collect()
     start = time.perf_counter()
     for program in programs:
         run_gcatch(program)
@@ -104,11 +108,19 @@ def test_resilient_pipeline_overhead_within_budget(benchmark):
 
     bare_times, armed_times = [], []
 
+    def armed():
+        with injected("parse@no-such-label-anywhere:raise"):
+            armed_times.append(_gcatch_corpus(programs))
+
+    def bare():
+        bare_times.append(_gcatch_corpus(programs))
+
     def interleaved_rounds():
-        for _ in range(ROUNDS):
-            bare_times.append(_gcatch_corpus(programs))
-            with injected("parse@no-such-label-anywhere:raise"):
-                armed_times.append(_gcatch_corpus(programs))
+        # alternate which side runs first, so neither always follows the
+        # other's garbage
+        for round_ in range(ROUNDS):
+            for side in (bare, armed) if round_ % 2 == 0 else (armed, bare):
+                side()
 
     benchmark.pedantic(interleaved_rounds, rounds=1, iterations=1)
 

@@ -115,6 +115,17 @@ class ProgramDigests:
                 digests = cls._per_program[program] = cls(program)
             return digests
 
+    def inherit(self, previous: "ProgramDigests") -> None:
+        """Take over ``previous``'s digest of every function object this
+        program shares with it: an earlier generation of the same project
+        whose build reused that function. The same object has the same
+        SSA, so its digest carries over and is not counted in ``computed``."""
+        functions = previous.functions
+        with self._lock:
+            for name, digest in previous._digests.items():
+                if self.functions.get(name) is functions.get(name):
+                    self._digests.setdefault(name, digest)
+
     def of(self, name: str) -> str:
         digest = self._digests.get(name)
         if digest is None:

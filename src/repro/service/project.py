@@ -8,16 +8,20 @@ across daemon requests:
   file set, re-parses **only** files whose bytes changed, and reuses
   every other file's cached AST;
 * the lowered :class:`~repro.ssa.ir.Program`, rebuilt from those ASTs
-  only when something actually changed (SSA lowering is cheap next to
-  solving, and rebuilding keeps line-number metadata exact);
+  only when something actually changed. The rebuild hands the builder
+  the previous generation's :class:`~repro.ssa.builder.Lowering`, so it
+  lowers only the declarations an edit can have changed and reuses every
+  other declaration's functions (closures included) and register kinds;
+  register names stay program-wide and the program equals a fresh build;
 * per-function SSA digests (:func:`repro.engine.fingerprint.function_digest`),
   whose old/new diff is the first half of the invalidation algorithm —
   the second half, digest diff → shard set, happens through
   :mod:`repro.engine.invalidate` because only the engine knows which
-  functions sit in which shard's scope. Digests are taken once per
-  generation through the program's shared
-  :class:`~repro.engine.fingerprint.ProgramDigests`, so the engine's shard
-  fingerprints reuse them instead of digesting every function again.
+  functions sit in which shard's scope. A reused function keeps its
+  digest; the others are digested once per generation through the
+  program's shared :class:`~repro.engine.fingerprint.ProgramDigests`, so
+  the engine's shard fingerprints reuse them instead of digesting every
+  function again.
 
 Refresh is crash-safe by construction: everything is computed into new
 locals and committed at the end, so a mid-refresh failure (unreadable
@@ -37,7 +41,7 @@ from typing import Dict, List, Optional
 from repro.engine.fingerprint import ProgramDigests
 from repro.obs import NULL, STAGE_PARSE, Collector
 from repro.ssa import ir
-from repro.ssa.builder import build_program_from_files, parse_source_file
+from repro.ssa.builder import Lowering, lower_files, parse_source_file
 
 
 @dataclass
@@ -124,6 +128,8 @@ class ProjectState:
         self.files: Dict[str, SourceFile] = {}  # path -> cached parse
         self.program: Optional[ir.Program] = None
         self.digests: Dict[str, str] = {}  # function name -> SSA digest
+        # the program's per-declaration lowering record, for the next build
+        self.lowering: Optional[Lowering] = None
         self.generation = 0  # bumped on every program rebuild
 
     @property
@@ -171,12 +177,15 @@ class ProjectState:
         if delta.is_noop() and self.program is not None:
             delta.generation = self.generation
             return delta
-        program = build_program_from_files(
-            [f.ast for f in new_files.values()], collector=obs
+        program, lowering = lower_files(
+            [f.ast for f in new_files.values()], collector=obs, previous=self.lowering
         )
         # the program's shared digest memo: the engine's shard fingerprints
-        # for this generation reuse every digest taken here
+        # for this generation reuse every digest taken here, and a function
+        # object shared with the previous generation keeps its digest
         memo = ProgramDigests.of_program(program)
+        if self.program is not None:
+            memo.inherit(ProgramDigests.of_program(self.program))
         computed = memo.computed
         digests = {name: memo.of(name) for name in program.functions}
         obs.count("fingerprint.digests", memo.computed - computed)
@@ -191,6 +200,7 @@ class ProjectState:
         self.files = new_files
         self.program = program
         self.digests = digests
+        self.lowering = lowering
         self.generation += 1
         delta.generation = self.generation
         if obs:

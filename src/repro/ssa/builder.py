@@ -9,12 +9,15 @@ Responsibilities mirroring ``go/ssa``'s builder:
 * lowering of ``select``, ``defer``, ``range`` and the sync-library method
   vocabulary (``Lock``/``Unlock``/``Add``/``Done``/``Wait``/``Fatal``/...)
   into first-class IR instructions;
-* branch-condition metadata for GCatch's infeasible-path pruning (§3.3).
+* branch-condition metadata for GCatch's infeasible-path pruning (§3.3);
+* a per-declaration record of each build (:class:`Lowering`), so a later
+  build of the same project reuses every declaration whose lowering
+  inputs are unchanged.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.golang import ast_nodes as ast
 from repro.golang.parser import parse_file
@@ -740,8 +743,7 @@ class _FunctionBuilder:
     def _expr_Ident(self, expr: ast.Ident) -> ir.Operand:
         unique = self.resolve(expr.name)
         if unique is not None:
-            local = unique in self.module.func_locals.get(self.func.name, set())
-            if not local and unique not in self.func.free_vars:
+            if unique not in self.locals and unique not in self.func.free_vars:
                 self.func.free_vars.append(unique)
             return ir.Var(unique)
         if expr.name in self.module.func_names:
@@ -834,20 +836,16 @@ class _FunctionBuilder:
         struct literal implicitly creates those primitives; they need real
         creation sites for the alias analysis and the runtime.
         """
-        decl = self.module.structs.get(type_name)
-        if decl is None:
-            return []
         out: List[Tuple[str, ir.Operand]] = []
-        for field in decl.fields:
-            kind = kind_of_type(field.type)
+        for name, kind in self.module.struct_fields.get(type_name, ()):
             if kind in _MUTEX_KINDS:
-                tmp = self._hidden_var(f"{type_name}.{field.name}", kind)
+                tmp = self._hidden_var(f"{type_name}.{name}", kind)
                 self.emit(ir.MakeMutex(line=line, dst=tmp, rw=kind == "rwmutex"))
-                out.append((field.name, tmp))
+                out.append((name, tmp))
             elif kind == "waitgroup":
-                tmp = self._hidden_var(f"{type_name}.{field.name}", "waitgroup")
+                tmp = self._hidden_var(f"{type_name}.{name}", "waitgroup")
                 self.emit(ir.MakeWaitGroup(line=line, dst=tmp))
-                out.append((field.name, tmp))
+                out.append((name, tmp))
         return out
 
     def _hidden_var(self, base: str, kind: str) -> ir.Var:
@@ -889,47 +887,133 @@ def _zero_value(kind: str):
     return None
 
 
-class ModuleBuilder:
-    """Builds a whole :class:`repro.ssa.ir.Program` from a parsed file."""
+class DeclLowering(NamedTuple):
+    """What lowering one top-level declaration drew and produced."""
 
-    def __init__(self, file: ast.File):
+    decl: ast.FuncDecl
+    #: (base, its counter at the first draw, the number of draws) for each
+    #: name base drawn through :meth:`ModuleBuilder.fresh_name`
+    draws: Tuple[Tuple[str, int, int], ...]
+    #: the declaration's function and its function literals, in the order
+    #: they were added
+    functions: Tuple[ir.Function, ...]
+    #: its registers' kinds, in the order they were first set
+    kinds: Tuple[Tuple[str, str], ...]
+
+
+class Lowering(NamedTuple):
+    """One build's :class:`DeclLowering` per declaration, keyed by the
+    declaration's identity, plus the program context every lowering read:
+    the function-name set and each struct's field names and kinds.
+
+    Lowering a declaration reads only its AST, that context and the name
+    counters of the bases it draws, and every register it names or gives
+    a kind belongs to it (MiniGo has no globals). So a later build whose
+    context compares equal reuses a declaration that is the same AST
+    object when every base it drew starts at the recorded count: its
+    functions, kinds and counter advances are exactly what lowering it
+    again would give.
+    """
+
+    func_names: Set[str]
+    struct_fields: Dict[str, Tuple[Tuple[str, str], ...]]
+    decls: Dict[int, DeclLowering]
+
+
+class ModuleBuilder:
+    """Builds a whole :class:`repro.ssa.ir.Program` from a parsed file.
+
+    ``build`` records each declaration's lowering in ``lowering``; given
+    the ``previous`` record of an earlier build of the same project, it
+    reuses every declaration whose lowering inputs are unchanged (see
+    :class:`Lowering`). ``lowered`` and ``reused`` count functions,
+    function literals included.
+    """
+
+    def __init__(self, file: ast.File, previous: Optional[Lowering] = None):
         self.file = file
         self.functions: Dict[str, ir.Function] = {}
-        self.kinds: Dict[str, str] = {}  # unique register name -> kind
+        # unique register name -> kind, for the declaration being lowered:
+        # its lowering reads and writes only its own registers
+        self.kinds: Dict[str, str] = {}
         self.func_names = {decl.full_name for decl in file.funcs}
-        self.structs = {decl.name: decl for decl in file.structs}
-        self.func_locals: Dict[str, set] = {}
+        # struct name -> its fields' names and kinds: all lowering reads of
+        # a struct declaration
+        self.struct_fields: Dict[str, Tuple[Tuple[str, str], ...]] = {
+            decl.name: tuple((f.name, kind_of_type(f.type)) for f in decl.fields)
+            for decl in file.structs
+        }
         self._name_counter: Dict[str, int] = {}
+        # base -> its counter at the current declaration's first draw
+        self._first_draw: Dict[str, int] = {}
+        self._added: List[ir.Function] = []
+        self.lowering = Lowering(self.func_names, self.struct_fields, {})
+        same_context = (
+            previous is not None
+            and previous.func_names == self.func_names
+            and previous.struct_fields == self.struct_fields
+        )
+        self._previous: Dict[int, DeclLowering] = previous.decls if same_context else {}
+        self.lowered = 0
+        self.reused = 0
 
     def fresh_name(self, base: str) -> str:
         count = self._name_counter.get(base, 0)
         self._name_counter[base] = count + 1
+        self._first_draw.setdefault(base, count)
         return base if count == 0 else f"{base}${count}"
 
     def field_kind(self, struct_name: str, field_name: str) -> str:
-        decl = self.structs.get(struct_name)
-        if decl is None:
-            return "any"
-        for field in decl.fields:
-            if field.name == field_name:
-                return kind_of_type(field.type)
+        for name, kind in self.struct_fields.get(struct_name, ()):
+            if name == field_name:
+                return kind
         return "any"
 
     def build(self) -> ir.Program:
-        for decl in self.file.funcs:
-            self.lower_function(
-                decl.full_name,
-                params=([decl.receiver] if decl.receiver else []) + decl.params,
-                results=decl.results,
-                body=decl.body,
-                decl_line=decl.line,
-                receiver=decl.receiver,
-                parent_scope=None,
-                parent_func=None,
-            )
         program = ir.Program(self.file, self.functions)
-        program.kinds = dict(self.kinds)
+        for decl in self.file.funcs:
+            record = self._previous.get(id(decl))
+            if record is not None and record.decl is decl and all(
+                self._name_counter.get(base, 0) == start for base, start, _ in record.draws
+            ):
+                self._reuse(record)
+            else:
+                record = self._lower_decl(decl)
+            self.lowering.decls[id(decl)] = record
+            program.kinds.update(record.kinds)
         return program
+
+    def _reuse(self, record: DeclLowering) -> None:
+        for base, start, count in record.draws:
+            self._name_counter[base] = start + count
+        for func in record.functions:
+            self.functions[func.name] = func
+        self.reused += len(record.functions)
+
+    def _lower_decl(self, decl: ast.FuncDecl) -> DeclLowering:
+        self.kinds = {}
+        self._first_draw = {}
+        self._added = []
+        self.lower_function(
+            decl.full_name,
+            params=([decl.receiver] if decl.receiver else []) + decl.params,
+            results=decl.results,
+            body=decl.body,
+            decl_line=decl.line,
+            receiver=decl.receiver,
+            parent_scope=None,
+            parent_func=None,
+        )
+        self.lowered += len(self._added)
+        return DeclLowering(
+            decl,
+            draws=tuple(
+                (base, start, self._name_counter[base] - start)
+                for base, start in self._first_draw.items()
+            ),
+            functions=tuple(self._added),
+            kinds=tuple(self.kinds.items()),
+        )
 
     def lower_function(
         self,
@@ -954,7 +1038,7 @@ class ModuleBuilder:
             parent=parent_func,
         )
         self.functions[name] = func
-        self.func_locals[name] = locals_set
+        self._added.append(func)
         for param in params:
             unique = self.fresh_name(param.name if param.name != "_" else "arg")
             scope.declare(param.name, unique)
@@ -969,21 +1053,33 @@ class ModuleBuilder:
         return func
 
 
+def _lower(file: ast.File, obs, previous: Optional[Lowering]) -> Tuple[ir.Program, Lowering]:
+    """The ``ssa-build`` stage: lower ``file``, counting the functions
+    lowered and reused beside the span."""
+    from repro.obs import STAGE_SSA
+    from repro.resilience.faultinject import maybe_fault
+
+    with obs.span(STAGE_SSA):
+        maybe_fault(STAGE_SSA, file.filename)
+        builder = ModuleBuilder(file, previous)
+        program = builder.build()
+    obs.count("ssa.lowered", builder.lowered)
+    obs.count("ssa.reused", builder.reused)
+    return program, builder.lowering
+
+
 def build_program(source: str, filename: str = "<minigo>", collector=None) -> ir.Program:
     """Parse and lower MiniGo ``source`` into an IR :class:`Program`.
 
     ``collector`` (a :class:`repro.obs.Collector`) receives the ``parse``
     and ``ssa-build`` stage spans of the pipeline trace.
     """
-    from repro.obs import NULL, STAGE_PARSE, STAGE_SSA
-    from repro.resilience.faultinject import maybe_fault
+    from repro.obs import NULL, STAGE_PARSE
 
     obs = collector or NULL
     with obs.span(STAGE_PARSE):
         file = parse_source_file(source, filename)
-    with obs.span(STAGE_SSA):
-        maybe_fault(STAGE_SSA, filename)
-        return ModuleBuilder(file).build()
+    return _lower(file, obs, None)[0]
 
 
 def parse_source_file(source: str, filename: str = "<minigo>") -> ast.File:
@@ -992,7 +1088,8 @@ def parse_source_file(source: str, filename: str = "<minigo>") -> ast.File:
     This is the per-file granularity the incremental service re-parses at:
     an edit to one file of a project re-runs only this function for that
     file; the lowered program is then rebuilt from the (mostly cached)
-    ASTs via :func:`build_program_from_files`.
+    ASTs via :func:`lower_files`, which reuses every declaration whose
+    lowering inputs are unchanged.
     """
     return parse_file(source, filename)
 
@@ -1041,11 +1138,16 @@ def build_program_from_files(files: List[ast.File], collector=None) -> ir.Progra
     The parse stage is the caller's (so a warm AST cache pays nothing
     here); only the ``ssa-build`` span runs.
     """
-    from repro.obs import NULL, STAGE_SSA
-    from repro.resilience.faultinject import maybe_fault
+    return lower_files(files, collector)[0]
 
-    obs = collector or NULL
-    merged = merge_files(files)
-    with obs.span(STAGE_SSA):
-        maybe_fault(STAGE_SSA, merged.filename)
-        return ModuleBuilder(merged).build()
+
+def lower_files(
+    files: List[ast.File], collector=None, previous: Optional[Lowering] = None
+) -> Tuple[ir.Program, Lowering]:
+    """:func:`build_program_from_files`, also returning the build's
+    :class:`Lowering`. Given the ``previous`` build's record, every
+    declaration whose lowering inputs are unchanged is reused instead of
+    lowered again; the program is the one a fresh build gives."""
+    from repro.obs import NULL
+
+    return _lower(merge_files(files), collector or NULL, previous)

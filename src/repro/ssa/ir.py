@@ -10,7 +10,7 @@ GCatch, GFix and the authors' test harness all sit on ``go/ssa``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +580,13 @@ class Block:
 
 
 class Function:
-    """A lowered function: entry block, params, and metadata for analyses."""
+    """A lowered function: entry block, params, and metadata for analyses.
+
+    IR is frozen once :class:`repro.ssa.builder.ModuleBuilder` returns it:
+    nothing else writes ``blocks``, ``instrs`` or ``terminator``. So the
+    block order and the instruction sequence are computed once, on first
+    read, and every analysis shares them.
+    """
 
     def __init__(
         self,
@@ -605,6 +611,8 @@ class Function:
         self.local_names: set = set()
         # interface-like calls: callee could not be resolved statically
         self.dynamic_call_sites: List[Call] = []
+        self._reachable: Optional[Tuple[Block, ...]] = None
+        self._instrs: Optional[Tuple[Instr, ...]] = None
 
     def new_block(self, label: str = "") -> Block:
         block = Block(label)
@@ -613,25 +621,33 @@ class Function:
             self.entry = block
         return block
 
-    def reachable_blocks(self) -> List[Block]:
-        """Blocks reachable from entry, in DFS preorder."""
-        if self.entry is None:
-            return []
-        seen: Dict[int, Block] = {}
-        stack = [self.entry]
+    def reachable_blocks(self) -> Tuple[Block, ...]:
+        """Blocks reachable from entry, in DFS preorder (memoized)."""
+        if self._reachable is not None:
+            return self._reachable
         order: List[Block] = []
-        while stack:
-            block = stack.pop()
-            if block.id in seen:
-                continue
-            seen[block.id] = block
-            order.append(block)
-            stack.extend(reversed(block.successors()))
-        return order
+        if self.entry is not None:
+            seen: Set[int] = set()
+            stack = [self.entry]
+            while stack:
+                block = stack.pop()
+                if block.id in seen:
+                    continue
+                seen.add(block.id)
+                order.append(block)
+                stack.extend(reversed(block.successors()))
+        self._reachable = tuple(order)
+        return self._reachable
 
     def instructions(self) -> Iterator[Instr]:
-        for block in self.reachable_blocks():
-            yield from block.all_instrs()
+        """Every instruction of the reachable blocks, terminators included,
+        in block order (memoized)."""
+        instrs = self._instrs
+        if instrs is None:
+            instrs = self._instrs = tuple(
+                instr for block in self.reachable_blocks() for instr in block.all_instrs()
+            )
+        return iter(instrs)
 
     def __repr__(self) -> str:
         return f"<Function {self.name} ({len(self.blocks)} blocks)>"

@@ -20,11 +20,17 @@ def split_docker_files() -> Dict[str, str]:
     """The Docker app as one file per template instance plus ``main.go``
     that calls every non-test driver: the project of the
     ``daemon-edit-loop`` benchmark, by file name."""
+    return split_app_files("Docker")
+
+
+def split_app_files(app: str) -> Dict[str, str]:
+    """A Table 1 app split the way :func:`split_docker_files` splits
+    Docker: one file per template instance plus ``main.go``."""
     from repro.corpus.apps import corpus_app
 
     files: Dict[str, str] = {}
     calls: List[str] = []
-    for k, instance in enumerate(corpus_app("Docker").instances):
+    for k, instance in enumerate(corpus_app(app).instances):
         files[f"inst_{k:03d}.go"] = "package main\n\n" + instance.code.strip("\n") + "\n"
         if instance.driver and not instance.driver.startswith("Test"):
             calls.append(f"\t{instance.driver}()")

@@ -164,10 +164,12 @@ class TestEffortGate:
         """A daemon serving Docker split into one file per template
         instance plus ``main.go`` (the project of the ``daemon-edit-loop``
         benchmark) plans 106 shards. A cold start-and-detect executes all
-        of them; giving one file's first channel a buffer reparses that
-        file, digests every function once and re-executes only the shards
-        whose scope the edit touched. Every step re-executes the five
-        traditional shards, whose one lockset pass walks all 380 functions."""
+        of them, lowering and digesting all 380 functions. Giving one
+        file's first channel a buffer reparses that file, lowers and
+        digests only its functions (the rest are reused: the edit draws no
+        register) and re-executes only the shards whose scope the edit
+        touched. Every step re-executes the five traditional shards, whose
+        one lockset pass walks all 380 functions."""
         files = split_docker_files()
         for name, text in files.items():
             (tmp_path / name).write_text(text)
@@ -194,6 +196,10 @@ class TestEffortGate:
                     "total": result["shards"]["total"],
                     "reports": len(result["reports"]),
                     "reparsed": result["refresh"]["reparsed"],
+                    "lowered": counters.get("ssa.lowered", 0)
+                    - before.get("ssa.lowered", 0),
+                    "reused": counters.get("ssa.reused", 0)
+                    - before.get("ssa.reused", 0),
                     "digests": counters.get("fingerprint.digests", 0)
                     - before.get("fingerprint.digests", 0),
                     "solver_calls": counters.get("solver.calls", 0)
@@ -206,11 +212,15 @@ class TestEffortGate:
             service.stop()
         assert steps == [
             {"executed": 106, "total": 106, "reports": 72, "reparsed": 0,
-             "digests": 380, "solver_calls": 395, "walks": 380},
+             "lowered": 380, "reused": 0, "digests": 380, "solver_calls": 395,
+             "walks": 380},
             {"executed": 6, "total": 106, "reports": 71, "reparsed": 1,
-             "digests": 380, "solver_calls": 3, "walks": 380},
+             "lowered": 4, "reused": 376, "digests": 4, "solver_calls": 3,
+             "walks": 380},
             {"executed": 7, "total": 106, "reports": 70, "reparsed": 1,
-             "digests": 380, "solver_calls": 4, "walks": 380},
+             "lowered": 5, "reused": 375, "digests": 5, "solver_calls": 4,
+             "walks": 380},
             {"executed": 6, "total": 106, "reports": 69, "reparsed": 1,
-             "digests": 380, "solver_calls": 3, "walks": 380},
+             "lowered": 4, "reused": 376, "digests": 4, "solver_calls": 3,
+             "walks": 380},
         ]

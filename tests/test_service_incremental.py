@@ -218,10 +218,11 @@ def _span_names(span: dict):
 
 
 class TestFingerprintDigests:
-    """A warm daemon digests each function once per edit: the refresh diff
-    and the engine's shard fingerprints share the program's digests."""
+    """A warm daemon digests only the functions an edit re-lowered, once:
+    a reused function keeps its digest, and the refresh diff and the
+    engine's shard fingerprints share the program's digests."""
 
-    def test_one_edit_digests_every_function_once(self, tmp_path):
+    def test_one_edit_digests_the_edited_files_functions_once(self, tmp_path):
         for i in range(4):
             (tmp_path / f"part{i:02d}.go").write_text(LEAKY.format(name=f"leak{i:02d}"))
         service = AnalysisService(str(tmp_path)).start()
@@ -232,11 +233,13 @@ class TestFingerprintDigests:
             response = service.call("detect")
             assert ok(response)["refresh"]["reparsed"] == 1
             after = ok(service.call("metrics"))["counters"]
-            # refresh + detect together: one digest per function
+            # refresh + detect together: one digest per function of the
+            # edited file; the other three files' six functions are reused
             digests = after.get("fingerprint.digests", 0) - before.get(
                 "fingerprint.digests", 0
             )
-            assert digests == len(service.state.program.functions)
+            assert len(service.state.program.functions) == 8
+            assert digests == 2  # leak01, leak01$lit1
             spans = ok(service.call("stats"))["spans"]
             tree = next(s for s in spans if s.get("trace_id") == response["trace_id"])
             assert list(_span_names(tree)).count("fingerprint") == 1
