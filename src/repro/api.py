@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.detector.gcatch import GCatchResult
+from repro.detector.gcatch import GCatchResult, run_gcatch
 from repro.detector.reporting import BugReport
-from repro.engine import EngineConfig, run_engine
+from repro.engine import EngineConfig
 from repro.fixer.dispatcher import FixResult, GFix, GFixSummary
 from repro.obs import NULL, Collector
 from repro.runtime.choices import Choice
@@ -132,17 +132,17 @@ class Project:
     ) -> GCatchResult:
         """Run GCatch (BMOC detector + the five traditional checkers).
 
-        Detection runs shard by shard through :mod:`repro.engine`;
-        ``config`` (a :class:`repro.engine.EngineConfig`, default: no
-        cache, no budget, every checker) sets the result cache,
-        per-primitive budgets, retries and the checker set.
+        Detection runs shard by shard through
+        :func:`repro.detector.gcatch.run_gcatch`; ``config`` (a
+        :class:`repro.engine.EngineConfig`, default: no cache, no budget)
+        sets the result cache and the per-primitive budgets.
 
         Every analysis unit runs behind the :mod:`repro.resilience`
         firewall: a crashing unit becomes an incident on the result
         (``result.incidents``, ``result.health()``) instead of aborting
         the run.
         """
-        return run_engine(self.program, config=config, collector=self._obs(collector))
+        return run_gcatch(self.program, config=config, collector=self._obs(collector))
 
     # -- fixing -------------------------------------------------------------
 

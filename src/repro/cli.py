@@ -27,14 +27,15 @@ Commands mirror the paper's tooling:
 
 ``detect``/``fix``/``stats`` also take the :mod:`repro.resilience` flags:
 ``--strict`` (exit 4 on any incident instead of reporting degraded
-health), ``--max-retries``, and ``--faults``/``--fault-seed``
-(deterministic fault injection; ``REPRO_FAULTS`` / ``REPRO_FAULT_SEED``
-are the ambient equivalents honoured by every command).
+health) and ``--faults`` (deterministic fault injection;
+``REPRO_FAULTS`` is the ambient equivalent honoured by every command,
+and the only environment variable the package reads). A transient
+failure is retried once everywhere; no flag changes that.
 
 ``detect``, ``serve`` and ``watch`` share one set of engine flags
-(``--cache-dir``, ``--budget-seconds``, ``--budget-nodes``,
-``--max-retries``, ``--checkers``), turned into one
-:class:`repro.engine.EngineConfig` by :func:`_engine_config`.
+(``--cache-dir``, ``--budget-seconds``, ``--budget-nodes``), turned into
+one :class:`repro.engine.EngineConfig` by :func:`_engine_config`. Every
+detect runs the five traditional checkers of Table 1.
 """
 
 from __future__ import annotations
@@ -122,7 +123,7 @@ def _activate_faults(args) -> bool:
 
     spec = getattr(args, "faults", None)
     if spec:
-        activate(FaultPlan.parse(spec, seed=getattr(args, "fault_seed", 0) or 0))
+        activate(FaultPlan.parse(spec))
         return True
     plan = plan_from_env()
     if plan is not None:
@@ -160,8 +161,6 @@ def _engine_config(args: argparse.Namespace) -> EngineConfig:
         cache=ResultCache(args.cache_dir) if args.cache_dir else None,
         budget_wall_seconds=args.budget_seconds,
         budget_solver_nodes=args.budget_nodes,
-        checkers=args.checkers,
-        max_retries=args.max_retries,
     )
 
 
@@ -238,7 +237,7 @@ def _timeout_summary(result) -> str:
 def cmd_fix(args: argparse.Namespace) -> int:
     collector = Collector(args.file) if args.trace else None
     project = _load(args.file, collector=collector)
-    result = project.detect(EngineConfig(max_retries=args.max_retries))
+    result = project.detect()
     bugs = result.bmoc.bmoc_channel_bugs()
     if not bugs:
         print("no channel-only BMOC bugs to fix")
@@ -363,7 +362,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         max_runs=args.budget,
         max_steps=args.max_steps,
         max_total_steps=args.total_steps,
-        max_retries=args.max_retries,
     )
     collector = Collector(f"fuzz-s{args.seed}") if args.json else None
     if args.only is not None:
@@ -430,7 +428,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     """Full pipeline (detect → fix → explore) under one Collector."""
     collector = Collector(args.file)
     project = _load_entry(args, collector=collector)
-    result = project.detect(EngineConfig(max_retries=args.max_retries))
+    result = project.detect()
     reports = result.all_reports()
     summary = project.fix_all(result.bmoc.bmoc_channel_bugs())
     exploration = project.explore(
@@ -485,12 +483,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return exit_code
 
 
-def _journal_path(args: argparse.Namespace) -> Optional[str]:
-    """The telemetry journal path: --journal flag, else REPRO_JOURNAL."""
-    path = getattr(args, "journal", None)
-    return path if path else os.environ.get("REPRO_JOURNAL") or None
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the analysis daemon over stdio (default) or a TCP socket."""
     from repro.service import AnalysisService, serve_stdio, serve_tcp
@@ -499,7 +491,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         service = AnalysisService(
             args.path,
             config=_engine_config(args),
-            journal_path=_journal_path(args),
+            journal_path=args.journal,
             journal_max_bytes=args.journal_max_bytes,
             journal_max_files=args.journal_max_files,
             slow_threshold_seconds=args.slow_threshold,
@@ -590,10 +582,9 @@ def cmd_top(args: argparse.Namespace) -> int:
     daemon's telemetry journal (works on a stopped daemon's journal too)."""
     from repro.obs import TelemetryJournal, filter_records, render_top, summarize
 
-    path = _journal_path(args)
+    path = args.journal
     if not path:
-        print("repro top: no journal (pass --journal PATH or set "
-              "REPRO_JOURNAL)", file=sys.stderr)
+        print("repro top: no journal (pass --journal PATH)", file=sys.stderr)
         return 2
     if not any(
         os.path.exists(p)
@@ -665,7 +656,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
                 workers=args.workers,
                 deadline_seconds=args.deadline,
                 straggler_timeout=args.straggler_timeout,
-                journal_path=_journal_path(args),
+                journal_path=args.journal,
             )
     except fleet.SweepKilled as exc:
         print(f"sweep killed: {exc} — re-run with the same --manifest "
@@ -759,8 +750,9 @@ _POSITIVE = _int_at_least(1)
 def _float_above(minimum: float, or_equal: bool = False):
     """An argparse type for durations: a value at or below ``minimum``
     (below it, with ``or_equal``), NaN or infinity is a usage error
-    (exit 2), not a budget that silently times out everything or a poll
-    loop that crashes on its first sleep."""
+    (exit 2), not a budget that silently times out everything, a poll
+    loop that crashes on its first sleep, or a fleet deadline or
+    straggler timeout that fails every unit."""
 
     def parse(text: str) -> float:
         try:
@@ -777,12 +769,6 @@ def _float_above(minimum: float, or_equal: bool = False):
     return parse
 
 
-def _add_max_retries(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-retries", type=_int_at_least(0), default=None,
-                   help="bound transient-failure retries per analysis unit "
-                        "(default: REPRO_MAX_RETRIES, else 1)")
-
-
 def _add_engine_args(p: argparse.ArgumentParser) -> None:
     """The engine flags detect, serve and watch share (see _engine_config)."""
     p.add_argument("--cache-dir", default=None,
@@ -793,10 +779,6 @@ def _add_engine_args(p: argparse.ArgumentParser) -> None:
                    help="per-primitive wall-clock budget (TIMEOUT on exhaustion)")
     p.add_argument("--budget-nodes", type=_POSITIVE, default=None,
                    help="per-primitive solver-node budget (TIMEOUT on exhaustion)")
-    p.add_argument("--checkers", nargs="*", default=None,
-                   help="restrict the traditional checkers to this subset "
-                        "(default: REPRO_CHECKERS, else all)")
-    _add_max_retries(p)
 
 
 def _add_resilience_args(p: argparse.ArgumentParser) -> None:
@@ -809,9 +791,6 @@ def _add_resilience_args(p: argparse.ArgumentParser) -> None:
                    help="deterministic fault-injection plan, e.g. "
                         "'solve:raise' or 'cache-read@leakOne:corrupt' "
                         "(default: REPRO_FAULTS)")
-    p.add_argument("--fault-seed", type=int, default=0,
-                   help="seed for probabilistic fault rules (default: "
-                        "REPRO_FAULT_SEED for env-supplied plans, else 0)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -839,7 +818,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--write", action="store_true", help="apply a single patch in place")
     p.add_argument("--trace", action="store_true",
                    help="append the per-stage observability table")
-    _add_max_retries(p)
     _add_resilience_args(p)
     p.set_defaults(func=cmd_fix)
 
@@ -884,7 +862,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-run interpreter step bound")
     p.add_argument("--total-steps", type=_POSITIVE, default=120_000,
                    help="deterministic cross-run step budget per program")
-    _add_max_retries(p)
     p.add_argument("--only", type=int, default=None, metavar="INDEX",
                    help="replay a single program of the campaign by index")
     p.add_argument("--minimize", action="store_true",
@@ -908,7 +885,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit Prometheus text exposition instead of the table")
     p.add_argument("--trace-out", default=None, metavar="PATH",
                    help="dump the run's span tree as OTLP-style JSON")
-    _add_max_retries(p)
     _add_resilience_args(p)
     p.set_defaults(func=cmd_stats)
 
@@ -924,8 +900,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--journal", default=None, metavar="PATH",
                    help="append one telemetry record per request to this "
-                        "JSONL file, with size-bounded rotation "
-                        "(default: REPRO_JOURNAL)")
+                        "JSONL file, with size-bounded rotation")
     p.add_argument("--journal-max-bytes", type=int, default=4_000_000,
                    help="rotate the journal past this size (default: 4MB)")
     p.add_argument("--journal-max-files", type=int, default=3,
@@ -955,7 +930,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("top", help="render telemetry-journal aggregates")
     p.add_argument("--journal", default=None, metavar="PATH",
-                   help="the daemon's telemetry journal (default: REPRO_JOURNAL)")
+                   help="the daemon's telemetry journal")
     p.add_argument("--journal-max-files", type=int, default=3,
                    help="rotation depth to scan (default: 3)")
     p.add_argument("--last", type=int, default=None, metavar="N",
@@ -975,7 +950,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--params", default=None, metavar="JSON",
                    help="request params as a JSON object")
-    p.add_argument("--deadline", type=float, default=None,
+    p.add_argument("--deadline", type=_float_above(0), default=None,
                    help="per-request deadline in seconds (expires in queue)")
     p.add_argument("--tenant", default=None,
                    help="address a registered tenant (default: the "
@@ -1013,9 +988,9 @@ def build_parser() -> argparse.ArgumentParser:
         fp.add_argument("--serial", action="store_true",
                         help="run the serial in-process reference sweep "
                              "instead of a daemon fleet (parity baseline)")
-        fp.add_argument("--deadline", type=float, default=None,
+        fp.add_argument("--deadline", type=_float_above(0), default=None,
                         help="per-unit queue deadline in seconds")
-        fp.add_argument("--straggler-timeout", type=float, default=None,
+        fp.add_argument("--straggler-timeout", type=_float_above(0), default=None,
                         help="seconds before an unresponsive unit's daemon is "
                              "restarted and the unit re-dispatched")
         fp.add_argument("--out", default=None, metavar="PATH",
@@ -1027,7 +1002,6 @@ def build_parser() -> argparse.ArgumentParser:
         fp.add_argument("--faults", default=None, metavar="SPEC",
                         help="deterministic fault plan (sites fleet-supervisor "
                              "/ fleet-dispatch for chaos drills)")
-        fp.add_argument("--fault-seed", type=int, default=0)
 
     fp = fleet_sub.add_parser(
         "plan", help="print the work units a corpus tree plans into"

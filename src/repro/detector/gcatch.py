@@ -3,11 +3,12 @@
 Combines the BMOC detector with the five traditional checkers and returns
 every report, grouped the way Table 1 groups them.
 
-``run_gcatch`` is the front door of :mod:`repro.engine`: every call runs
-the engine's one shard loop, with or without a result ``cache`` or a
-per-primitive budget. The parity suites check its report sets against
-the unsharded ``BMOCDetector.detect`` plus the five checkers over the
-whole bug set.
+``run_gcatch(program, config, collector)`` is the one detect front door:
+``Project.detect``, the daemon, fuzz triage and the experiments all call
+it, and every call runs the engine's one shard loop with the options of
+one :class:`repro.engine.EngineConfig`. The parity suites check its
+report sets against the unsharded ``BMOCDetector.detect`` plus the five
+checkers over the whole bug set.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Dict, List, Optional
 
 from repro.detector.bmoc import DetectionResult
 from repro.detector.reporting import BugReport
-from repro.engine import EngineConfig, ShardInfo, run_engine
+from repro.engine import DetectionEngine, EngineConfig, ShardInfo
 from repro.obs import Collector
 from repro.resilience.incidents import Incident, overall_health
 from repro.ssa import ir
@@ -83,37 +84,21 @@ class GCatchResult:
 
 def run_gcatch(
     program: ir.Program,
-    disentangle: bool = True,
+    config: Optional[EngineConfig] = None,
     collector: Optional[Collector] = None,
-    cache=None,
-    budget_wall_seconds: Optional[float] = None,
-    budget_solver_nodes: Optional[int] = None,
-    max_retries: Optional[int] = None,
-    checkers=None,
 ) -> GCatchResult:
     """Run the complete GCatch pipeline over a lowered program.
 
-    ``collector`` (see :mod:`repro.obs`) receives per-stage spans for every
-    box of the Figure 2 pipeline plus effort counters; the same collector
-    is attached to the returned result as ``.trace``.
+    ``config`` (default: no cache, no budget, disentangling on) holds the
+    engine options. ``collector`` (see :mod:`repro.obs`) receives
+    per-stage spans for every box of the Figure 2 pipeline plus effort
+    counters; the same collector is attached to the returned result as
+    ``.trace``.
 
     Detection runs through :mod:`repro.engine`, one shard per channel and
     per traditional checker, each behind the :mod:`repro.resilience`
     firewall: a crash in one shard becomes an ``Incident`` on the result
     (``result.incidents``, ``result.health()``) and every other shard's
-    reports are kept. ``cache`` makes re-runs incremental and ``budget_*``
-    bound per-primitive effort (defaults: no cache, no budget).
-    ``max_retries`` (default: ``REPRO_MAX_RETRIES`` env var, else 1)
-    bounds transient-failure retries; ``checkers`` (default:
-    ``REPRO_CHECKERS`` env var, else all) selects traditional checkers by
-    name.
+    reports are kept. A transient failure is retried once.
     """
-    config = EngineConfig(
-        cache=cache,
-        budget_wall_seconds=budget_wall_seconds,
-        budget_solver_nodes=budget_solver_nodes,
-        disentangle=disentangle,
-        checkers=checkers,
-        max_retries=max_retries,
-    )
-    return run_engine(program, config=config, collector=collector)
+    return DetectionEngine(program, config=config, collector=collector).run()

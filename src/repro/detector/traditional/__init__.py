@@ -35,10 +35,4 @@ TRADITIONAL_CHECKERS: Tuple[str, ...] = tuple(_RUNNERS)
 def run_checker(name: str, program, bmoc) -> List[BugReport]:
     """Run one checker by name over ``program``, reusing the alias,
     call-graph and lock-fact results of the BMOC detector ``bmoc``."""
-    runner = _RUNNERS.get(name)
-    if runner is None:
-        raise ValueError(
-            f"unknown traditional checker: {name!r} "
-            f"(valid checkers: {', '.join(TRADITIONAL_CHECKERS)})"
-        )
-    return runner(program, bmoc)
+    return _RUNNERS[name](program, bmoc)

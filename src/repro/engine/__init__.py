@@ -14,9 +14,6 @@ from repro.engine.engine import (
     DetectionEngine,
     EngineConfig,
     ShardInfo,
-    resolve_checkers,
-    resolve_max_retries,
-    run_engine,
 )
 from repro.engine.fingerprint import (
     ENGINE_VERSION,
@@ -45,9 +42,6 @@ __all__ = [
     "channel_fingerprint",
     "diff_fingerprints",
     "function_digest",
-    "resolve_checkers",
-    "resolve_max_retries",
-    "run_engine",
     "shard_fingerprints",
     "shard_key",
     "traditional_fingerprint",

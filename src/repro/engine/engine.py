@@ -37,8 +37,9 @@ Resilience (:mod:`repro.resilience`): every shard and every cache probe
 runs behind an exception firewall — a crash anywhere inside one shard
 (path enumeration, encoding, the solver, a traditional checker, an
 injected fault) degrades into a structured ``Incident`` and a ``failed``
-shard record; every *other* shard's reports are kept. Transient failures
-(cache I/O, injected transient faults) retry up to ``max_retries`` times.
+shard record; every *other* shard's reports are kept. A transient
+failure (cache I/O, an injected transient fault) is retried once, as at
+every firewall.
 The incident ledger lists the cache-probe incidents first, then the
 shard and cache-write incidents in shard order, because that is the
 order the one loop meets them in.
@@ -46,10 +47,9 @@ order the one loop meets them in.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.detector.bmoc import AnalysisBudget, BMOCDetector, DetectionResult, DetectionStats
 from repro.detector.reporting import BugReport, dedup_reports
@@ -61,56 +61,19 @@ from repro.engine.fingerprint import (
     traditional_fingerprint,
 )
 from repro.obs import NULL, STAGE_ENGINE_SHARD, STAGE_FINGERPRINT, Collector, Span
-from repro.resilience.firewall import Firewall, RetryPolicy
+from repro.resilience.firewall import Firewall
 from repro.ssa import ir
-
-
-def resolve_max_retries(max_retries: Optional[int] = None) -> int:
-    """Explicit ``max_retries`` beats ``REPRO_MAX_RETRIES`` beats 1."""
-    if max_retries is not None:
-        return max(0, max_retries)
-    try:
-        return max(0, int(os.environ.get("REPRO_MAX_RETRIES", "") or 1))
-    except ValueError:
-        return 1
-
-
-def resolve_checkers(checkers=None) -> Optional[List[str]]:
-    """Explicit ``checkers`` beats ``REPRO_CHECKERS`` beats all (None).
-
-    Names are *not* validated here: an unknown name flows into its own
-    analysis unit, crashes against the valid-set error message and
-    surfaces as an incident — a typo degrades the run, never aborts it.
-    """
-    if checkers is not None:
-        return list(checkers)
-    env = os.environ.get("REPRO_CHECKERS")
-    if not env:
-        return None
-    return [name.strip() for name in env.split(",") if name.strip()]
 
 
 @dataclass
 class EngineConfig:
     """The options of one engine run, declared once for every caller
-    (``run_gcatch``, ``Project.detect``, the daemon, the CLI).
-
-    ``max_retries`` and ``checkers`` left unset take their
-    ``REPRO_MAX_RETRIES`` / ``REPRO_CHECKERS`` defaults here, at
-    construction, and nowhere else.
-    """
+    (``run_gcatch``, ``Project.detect``, the daemon, the CLI)."""
 
     cache: Optional[ResultCache] = None
     budget_wall_seconds: Optional[float] = None  # per primitive
     budget_solver_nodes: Optional[int] = None  # per primitive, across solves
     disentangle: bool = True
-    # resilience knobs (repro.resilience)
-    checkers: Optional[Sequence[str]] = None  # None = all TRADITIONAL_CHECKERS
-    max_retries: Optional[int] = None  # bounded retries for transient failures
-
-    def __post_init__(self) -> None:
-        self.max_retries = resolve_max_retries(self.max_retries)
-        self.checkers = resolve_checkers(self.checkers)
 
 
 @dataclass
@@ -149,10 +112,7 @@ class DetectionEngine:
         self.program = program
         self.config = config or EngineConfig()
         self.collector = collector or NULL
-        self.firewall = Firewall(
-            collector=self.collector,
-            policy=RetryPolicy(max_retries=self.config.max_retries),
-        )
+        self.firewall = Firewall(collector=self.collector)
         self.detector: Optional[BMOCDetector] = None
         self._channels: List = []
         self._shards: List[ShardInfo] = []
@@ -316,12 +276,9 @@ class DetectionEngine:
             ShardInfo(kind="bmoc", label=str(channel.site))
             for channel in self._channels
         ]
-        # an unknown checker name (config/env typo) still gets a shard: it
-        # fails inside the firewall and degrades the run instead of
-        # aborting it, and its incident message names the valid set
-        names = self.config.checkers
-        names = list(TRADITIONAL_CHECKERS) if names is None else list(names)
-        self._shards.extend(ShardInfo(kind="traditional", label=name) for name in names)
+        self._shards.extend(
+            ShardInfo(kind="traditional", label=name) for name in TRADITIONAL_CHECKERS
+        )
         if self.config.cache is not None:
             self._fingerprint_shards()
 
@@ -434,11 +391,3 @@ class DetectionEngine:
             label=info.label,
         )
 
-
-def run_engine(
-    program: ir.Program,
-    config: Optional[EngineConfig] = None,
-    collector: Optional[Collector] = None,
-) -> "GCatchResult":
-    """Convenience wrapper: one engine run over a lowered program."""
-    return DetectionEngine(program, config=config, collector=collector).run()

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.detector.gcatch import run_gcatch
 from repro.diffcheck import (
@@ -41,11 +41,10 @@ from repro.diffcheck import (
     aggregate_verdicts,
     classify_oracles,
 )
-from repro.engine import resolve_max_retries
 from repro.fuzz.generator import GeneratedProgram, generate_program
 from repro.obs import NULL
 from repro.resilience.faultinject import maybe_fault
-from repro.resilience.firewall import Firewall, RetryPolicy
+from repro.resilience.firewall import Firewall
 from repro.resilience.incidents import Incident
 from repro.runtime.explorer import explore
 from repro.ssa.builder import build_program
@@ -71,12 +70,11 @@ _DIVERGENCE_CAUSE = "bounded-oracle: exploration hit the step budget"
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    """Per-program analysis budgets and retry bound for one campaign."""
+    """Per-program analysis budgets for one campaign."""
 
     max_runs: int = 128  # schedule-exploration run budget per program
     max_steps: int = 6_000  # per-run interpreter step bound
     max_total_steps: int = 120_000  # deterministic cross-run step budget
-    max_retries: Optional[int] = None  # default: REPRO_MAX_RETRIES, else 1
 
     def to_json(self) -> dict:
         return {
@@ -214,10 +212,9 @@ def triage_program(
     """Run one generated program through the full differential pipeline.
 
     The program is one firewall unit: a transient crash anywhere in it is
-    retried up to ``config.max_retries`` times, as detection's shards are.
+    retried once, as detection's shards are.
     """
-    retries = resolve_max_retries(config.max_retries)
-    firewall = Firewall(collector=collector, policy=RetryPolicy(max_retries=retries))
+    firewall = Firewall(collector=collector)
     triage = ProgramTriage(
         index=program.index,
         name=program.name,
@@ -240,9 +237,7 @@ def triage_program(
 
     def _analyze():
         maybe_fault("fuzz-program", program.name)
-        static = run_gcatch(
-            ir_program, collector=collector, max_retries=config.max_retries
-        )
+        static = run_gcatch(ir_program, collector=collector)
         exploration = explore(
             ir_program,
             entry=program.entry,

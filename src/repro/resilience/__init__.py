@@ -1,4 +1,4 @@
-"""repro.resilience — crash isolation, bounded retries, fault injection.
+"""repro.resilience — crash isolation, one retry, fault injection.
 
 The paper's evaluation only exists because GCatch survives real-world
 codebases: it runs under per-package time budgets and keeps going when an
@@ -8,12 +8,12 @@ reproduction:
 * :mod:`repro.resilience.incidents` — the structured :class:`Incident`
   record a crash degrades into, plus run-health classification;
 * :mod:`repro.resilience.firewall` — the exception firewall that converts
-  crashes into incidents and applies bounded, deterministic retries to
-  transient failure classes;
+  crashes into incidents and retries a transient failure exactly once,
+  wherever it runs;
 * :mod:`repro.resilience.faultinject` — named injection sites threaded
-  through every pipeline stage, activated by a seeded :class:`FaultPlan`
-  (``REPRO_FAULTS``), which the chaos suite uses to prove every
-  degradation path actually works.
+  through every pipeline stage, activated by a deterministic
+  :class:`FaultPlan` (``--faults`` / ``REPRO_FAULTS``), which the chaos
+  suite uses to prove every degradation path actually works.
 """
 
 from repro.resilience.faultinject import (
@@ -29,7 +29,7 @@ from repro.resilience.faultinject import (
     maybe_fault,
     plan_from_env,
 )
-from repro.resilience.firewall import Firewall, Guarded, RetryPolicy, is_transient
+from repro.resilience.firewall import MAX_RETRIES, Firewall, Guarded, is_transient
 from repro.resilience.incidents import (
     HEALTH_DEGRADED,
     HEALTH_FAILED,
@@ -52,7 +52,7 @@ __all__ = [
     "HEALTH_FAILED",
     "HEALTH_OK",
     "Incident",
-    "RetryPolicy",
+    "MAX_RETRIES",
     "activate",
     "active_plan",
     "deactivate",

@@ -28,25 +28,20 @@ A :class:`FaultPlan` is a list of rules parsed from a compact spec
     solve:raise:n=3              ... only on the 3rd matching call
     parse:raise-transient:times=1  raise once, classified transient (retryable)
     cache-read:corrupt           corrupted-pickle behaviour instead of raising
-    encode:stall:ms=25           stall 25 ms at encode
-    solve:raise:p=0.5            seeded coin flip per call (REPRO_FAULT_SEED)
 
-Rules are ``;``-separated. Call counts are kept **per (rule, label)** —
-each analysis unit counts its own calls — so a plan degrades the same
-shard whatever else the run analyzes and in whatever order (the chaos
-suite depends on this). Probabilistic rules hash
-``(seed, site, label, count)`` instead of drawing from shared RNG state,
-which keeps them order-independent too.
+Modes are ``raise``, ``raise-transient`` and ``corrupt``; options are
+``n=`` and ``times=``. Rules are ``;``-separated. Call counts are kept
+**per (rule, label)** — each analysis unit counts its own calls — so a
+plan degrades the same shard whatever else the run analyzes and in
+whatever order (the chaos suite depends on this).
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 import threading
-import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 #: every named injection site, in pipeline order
@@ -65,7 +60,7 @@ FAULT_SITES: Tuple[str, ...] = (
     "fleet-dispatch",
 )
 
-_MODES = ("raise", "raise-transient", "corrupt", "stall")
+_MODES = ("raise", "raise-transient", "corrupt")
 
 #: sentinel returned by :meth:`FaultPlan.fire` when the caller should
 #: corrupt its payload instead of crashing
@@ -89,23 +84,9 @@ class FaultRule:
 
     site: str
     label: str = ""  # substring match against the call-site label; '' matches all
-    mode: str = "raise"  # 'raise' | 'raise-transient' | 'corrupt' | 'stall'
+    mode: str = "raise"  # 'raise' | 'raise-transient' | 'corrupt'
     n: Optional[int] = None  # fire only on the nth matching call (1-based)
     times: Optional[int] = None  # fire at most this many times
-    ms: float = 0.0  # stall duration
-    p: Optional[float] = None  # seeded per-call probability
-
-    def render(self) -> str:
-        parts = [self.site + (f"@{self.label}" if self.label else ""), self.mode]
-        if self.n is not None:
-            parts.append(f"n={self.n}")
-        if self.times is not None:
-            parts.append(f"times={self.times}")
-        if self.ms:
-            parts.append(f"ms={self.ms:g}")
-        if self.p is not None:
-            parts.append(f"p={self.p:g}")
-        return ":".join(parts)
 
 
 def _parse_rule(text: str) -> FaultRule:
@@ -134,45 +115,31 @@ def _parse_rule(text: str) -> FaultRule:
             rule.n = int(value)
         elif key == "times":
             rule.times = int(value)
-        elif key == "ms":
-            rule.ms = float(value)
-        elif key == "p":
-            rule.p = float(value)
         else:
-            raise ValueError(f"unknown fault option {key!r} (n/times/ms/p)")
+            raise ValueError(f"unknown fault option {key!r} (n/times)")
     return rule
 
 
 class FaultPlan:
     """A set of rules plus the per-(rule, label) call counters."""
 
-    def __init__(self, rules: List[FaultRule], seed: int = 0):
+    def __init__(self, rules: List[FaultRule]):
         self.rules = rules
-        self.seed = seed
         self._counts: Dict[Tuple[int, str], int] = {}
         self._fired: Dict[int, int] = {}
         self._lock = threading.Lock()
 
     @classmethod
-    def parse(cls, spec: str, seed: int = 0) -> "FaultPlan":
+    def parse(cls, spec: str) -> "FaultPlan":
         rules = [_parse_rule(part) for part in spec.split(";") if part.strip()]
         if not rules:
             raise ValueError(f"fault spec {spec!r} contains no rules")
-        return cls(rules, seed=seed)
-
-    def render(self) -> str:
-        return ";".join(rule.render() for rule in self.rules)
-
-    def _coin(self, rule_index: int, site: str, label: str, count: int, p: float) -> bool:
-        payload = f"{self.seed}:{rule_index}:{site}:{label}:{count}"
-        digest = hashlib.sha256(payload.encode()).digest()
-        return int.from_bytes(digest[:8], "big") / 2**64 < p
+        return cls(rules)
 
     def fire(self, site: str, label: str = "") -> Optional[str]:
-        """Evaluate every rule against one call; raises, stalls, or returns
+        """Evaluate every rule against one call; raises, or returns
         :data:`CORRUPT` when the caller should corrupt its own payload."""
         action: Optional[str] = None
-        stall_ms = 0.0
         for index, rule in enumerate(self.rules):
             if rule.site != site:
                 continue
@@ -185,19 +152,13 @@ class FaultPlan:
                     continue
                 if rule.times is not None and self._fired.get(index, 0) >= rule.times:
                     continue
-                if rule.p is not None and not self._coin(index, site, label, count, rule.p):
-                    continue
                 self._fired[index] = self._fired.get(index, 0) + 1
-            if rule.mode == "stall":
-                stall_ms = max(stall_ms, rule.ms)
-            elif rule.mode == "corrupt":
+            if rule.mode == "corrupt":
                 action = CORRUPT
             else:
                 raise FaultInjected(
                     site, label, transient=rule.mode == "raise-transient"
                 )
-        if stall_ms:
-            time.sleep(stall_ms / 1000.0)
         return action
 
 
@@ -222,7 +183,7 @@ def active_plan() -> Optional[FaultPlan]:
 
 
 @contextmanager
-def injected(spec_or_plan, seed: int = 0) -> Iterator[FaultPlan]:
+def injected(spec_or_plan) -> Iterator[FaultPlan]:
     """Scoped activation — the chaos suite's workhorse::
 
         with injected("solve@alpha:raise"):
@@ -231,7 +192,7 @@ def injected(spec_or_plan, seed: int = 0) -> Iterator[FaultPlan]:
     plan = (
         spec_or_plan
         if isinstance(spec_or_plan, FaultPlan)
-        else FaultPlan.parse(spec_or_plan, seed=seed)
+        else FaultPlan.parse(spec_or_plan)
     )
     previous = _PLAN
     activate(plan)
@@ -252,12 +213,6 @@ def maybe_fault(site: str, label: str = "") -> bool:
 
 
 def plan_from_env() -> Optional[FaultPlan]:
-    """A plan from ``REPRO_FAULTS`` (seeded by ``REPRO_FAULT_SEED``), else None."""
+    """A plan from ``REPRO_FAULTS``, else None."""
     spec = os.environ.get("REPRO_FAULTS")
-    if not spec:
-        return None
-    try:
-        seed = int(os.environ.get("REPRO_FAULT_SEED", "") or 0)
-    except ValueError:
-        seed = 0
-    return FaultPlan.parse(spec, seed=seed)
+    return FaultPlan.parse(spec) if spec else None

@@ -6,14 +6,15 @@ crash inside it is converted into a structured
 :class:`~repro.resilience.incidents.Incident` instead of propagating —
 completed units are always kept.
 
-Retries are bounded and immediate: transient failure classes (cache
-I/O, injected-transient faults) are re-attempted at once, up to
-``RetryPolicy.max_retries`` times, with no sleep between attempts.
-Everything else fails fast into an incident.
+Every firewall retries a transient failure (cache I/O, an injected
+transient fault) exactly once (:data:`MAX_RETRIES`), at once and with no
+sleep; everything else fails fast into an incident. The engine's shards
+and cache probes, fuzz programs, daemon requests, GFix strategies and
+patch validation all run behind this one rule.
 
 Observability counters: ``resilience.incident`` (one per final failure),
 ``resilience.retry`` (one per re-attempt) and ``resilience.gave-up`` (one
-per unit whose retries were exhausted).
+per unit whose retry failed too).
 """
 
 from __future__ import annotations
@@ -30,24 +31,15 @@ from repro.resilience.incidents import Incident, make_incident
 #: exception classes retried by default: I/O flakiness
 TRANSIENT_TYPES = (OSError, EOFError, ConnectionError, pickle.PickleError)
 
+#: re-attempts of a transient failure, at every firewall
+MAX_RETRIES = 1
+
 
 def is_transient(exc: BaseException) -> bool:
     """Is this failure class worth a bounded retry?"""
     if isinstance(exc, FaultInjected):
         return exc.transient
     return isinstance(exc, TRANSIENT_TYPES)
-
-
-@dataclass
-class RetryPolicy:
-    """Bounded, deterministic retry configuration."""
-
-    max_retries: int = 1
-
-    def retries_for(self, exc: BaseException) -> int:
-        if is_transient(exc):
-            return max(0, self.max_retries)
-        return 0
 
 
 @dataclass
@@ -66,9 +58,8 @@ class Firewall:
     ``incidents`` accumulates in recording order.
     """
 
-    def __init__(self, collector=None, policy: Optional[RetryPolicy] = None):
+    def __init__(self, collector=None):
         self.collector = collector or NULL
-        self.policy = policy or RetryPolicy()
         self.incidents: List[Incident] = []
         self._lock = threading.Lock()
 
@@ -92,8 +83,7 @@ class Firewall:
             except reraise:
                 raise
             except Exception as exc:  # noqa: BLE001 - the firewall's whole job
-                retries = self.policy.retries_for(exc)
-                if attempt < retries:
+                if attempt < MAX_RETRIES and is_transient(exc):
                     if self.collector:
                         self.collector.count("resilience.retry")
                     attempt += 1

@@ -57,9 +57,9 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.cli import exit_code_for
-from repro.detector.gcatch import GCatchResult
+from repro.detector.gcatch import GCatchResult, run_gcatch
 from repro.detector.reporting import BugReport
-from repro.engine import EngineConfig, ResultCache, diff_fingerprints, run_engine
+from repro.engine import EngineConfig, ResultCache, diff_fingerprints
 from repro.engine.invalidate import InvalidationDelta, shard_key
 from repro.obs import (
     STAGE_SERVICE_REQUEST,
@@ -71,7 +71,7 @@ from repro.obs import (
     snapshot,
 )
 from repro.resilience.faultinject import maybe_fault
-from repro.resilience.firewall import Firewall, RetryPolicy
+from repro.resilience.firewall import Firewall
 from repro.resilience.incidents import incidents_to_json
 from repro.service.project import ProjectState
 from repro.service.protocol import (
@@ -161,10 +161,7 @@ class AnalysisService:
             # content-addressed, so identical code keys identical entries
             config = dataclasses.replace(config, cache=ResultCache())
         self.config = config
-        self.firewall = Firewall(
-            collector=self.collector,
-            policy=RetryPolicy(max_retries=self.config.max_retries),
-        )
+        self.firewall = Firewall(collector=self.collector)
         self.queue = FairScheduler(
             self._handle,
             workers=workers,
@@ -507,7 +504,7 @@ class AnalysisService:
             else:
                 refresh_payload = delta.to_json()
                 refresh_payload["noop"] = delta.is_noop()
-        result = run_engine(ctx.tenant.state.program, config=self.config, collector=ctx.obs)
+        result = run_gcatch(ctx.tenant.state.program, config=self.config, collector=ctx.obs)
         return result, refresh_payload
 
     def _method_detect(self, params: dict, ctx: RequestContext) -> dict:

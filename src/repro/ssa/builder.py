@@ -1079,7 +1079,7 @@ def build_program(source: str, filename: str = "<minigo>", collector=None) -> ir
     obs = collector or NULL
     with obs.span(STAGE_PARSE):
         file = parse_source_file(source, filename)
-    return _lower(file, obs, None)[0]
+    return lower_files([file], obs)[0]
 
 
 def parse_source_file(source: str, filename: str = "<minigo>") -> ast.File:
@@ -1101,8 +1101,10 @@ def merge_files(files: List[ast.File]) -> ast.File:
     namespace, so merging is declaration concatenation in file order.
     Struct and function declarations keep the line numbers of their own
     source file (bug reports cite ``file:line`` through the declaring
-    function), and a duplicate top-level name across files is a
-    :class:`BuildError`, mirroring Go's redeclaration error.
+    function). A struct, function or method (``T.m``) declared twice,
+    in one file or in two, is a :class:`BuildError` naming both places,
+    mirroring Go's redeclaration error. Every build passes through here,
+    a one-file :func:`build_program` too.
     """
     if not files:
         raise BuildError("a project needs at least one source file")
@@ -1111,23 +1113,24 @@ def merge_files(files: List[ast.File]) -> ast.File:
         filename=files[0].filename if len(files) == 1 else "<project>",
         source=files[0].source if len(files) == 1 else "",
     )
-    seen: Dict[str, str] = {}
+    # "type S" / "func T.m" -> (filename, line) of its first declaration
+    seen: Dict[str, Tuple[str, int]] = {}
+
+    def declare(what: str, file: ast.File, decl: ast.Node) -> None:
+        if what in seen:
+            filename, line = seen[what]
+            raise BuildError(
+                f"{what} redeclared at {file.filename}:{decl.line} "
+                f"(previous declaration at {filename}:{line})"
+            )
+        seen[what] = (file.filename, decl.line)
+
     for file in files:
         for decl in file.structs:
-            owner = seen.setdefault("type " + decl.name, file.filename)
-            if owner != file.filename:
-                raise BuildError(
-                    f"type {decl.name} redeclared in {file.filename} "
-                    f"(previous declaration in {owner})"
-                )
+            declare("type " + decl.name, file, decl)
             merged.structs.append(decl)
         for decl in file.funcs:
-            owner = seen.setdefault("func " + decl.full_name, file.filename)
-            if owner != file.filename:
-                raise BuildError(
-                    f"func {decl.full_name} redeclared in {file.filename} "
-                    f"(previous declaration in {owner})"
-                )
+            declare("func " + decl.full_name, file, decl)
             merged.funcs.append(decl)
     return merged
 

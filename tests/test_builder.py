@@ -226,6 +226,32 @@ class TestErrors:
         with pytest.raises(BuildError, match="line 4: .*strings are immutable"):
             build("func f() {\n\t" + decl + "\n\tm[0] = 1\n}")
 
+    @pytest.mark.parametrize(
+        "decls,what",
+        [
+            ("func f() {\n}\n\nfunc f() {\n}", "func f"),
+            ("type S struct {\n}\n\nfunc (s *S) m() {\n}\n\nfunc (s *S) m() {\n}",
+             "func S.m"),
+            ("type S struct {\n\tn int\n}\n\ntype S struct {\n}", "type S"),
+        ],
+        ids=["func", "method", "struct"],
+    )
+    def test_a_declaration_repeated_in_one_file(self, decls, what):
+        # build() puts "package main" on line 1, so the file opens at line 2
+        with pytest.raises(BuildError, match=f"^{what} redeclared at test.go:"):
+            build(decls)
+
+    def test_a_declaration_repeated_across_files_names_both(self):
+        from repro.ssa.builder import lower_files, parse_source_file
+
+        files = [
+            parse_source_file("package main\n\nfunc f() {\n}\n", "a.go"),
+            parse_source_file("package main\n\nfunc main() {\n}\n\nfunc f() {\n}\n", "b.go"),
+        ]
+        with pytest.raises(BuildError) as excinfo:
+            lower_files(files)
+        assert str(excinfo.value) == "func f redeclared at b.go:6 (previous declaration at a.go:3)"
+
 
 class TestProgramStructure:
     def test_kinds_map_populated(self):

@@ -144,8 +144,9 @@ class TestBudgetValidation:
     """A numeric flag below its floor is an argparse usage error (exit 2):
     a run, step, program or per-primitive budget below one would report a
     vacuous clean result, a zero daemon count crashed, a zero worker count
-    or a negative retry count was silently clamped, and a negative watch
-    interval crashed the poll loop after the first detect."""
+    was silently clamped, a negative watch interval crashed the poll loop
+    after the first detect, and a fleet deadline or straggler timeout at
+    or below zero failed every unit."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -168,12 +169,6 @@ class TestBudgetValidation:
             ["serve", "FILE", "--workers", "0"],
             ["serve", "FILE", "--max-queue", "0"],
             ["serve", "FILE", "--max-queue", "-1"],
-            ["detect", "FILE", "--max-retries", "-4"],
-            ["fix", "FILE", "--max-retries", "-4"],
-            ["stats", "FILE", "--max-retries", "-4"],
-            ["fuzz", "--count", "1", "--max-retries", "-4"],
-            ["serve", "FILE", "--max-retries", "-4"],
-            ["watch", "FILE", "--cycles", "0", "--max-retries", "-4"],
             ["detect", "FILE", "--budget-nodes", "-5"],
             ["detect", "FILE", "--budget-nodes", "0"],
             ["serve", "FILE", "--budget-nodes", "0"],
@@ -203,6 +198,14 @@ class TestBudgetValidation:
             ["detect", "FILE", "--budget-seconds", "nan"],
             ["serve", "FILE", "--budget-seconds", "0"],
             ["watch", "FILE", "--cycles", "0", "--budget-seconds", "-1"],
+            ["fleet", "sweep", "FILE", "--mode", "thread", "--deadline", "0"],
+            ["fleet", "sweep", "FILE", "--mode", "thread", "--deadline", "-3"],
+            ["fleet", "sweep", "FILE", "--mode", "thread", "--straggler-timeout", "-1"],
+            ["fleet", "sweep", "FILE", "--mode", "thread", "--straggler-timeout", "0"],
+            ["fleet", "fuzz", "--count", "2", "--deadline", "nan"],
+            ["fleet", "fuzz", "--count", "2", "--straggler-timeout", "inf"],
+            ["client", "detect", "--port", "1", "--deadline", "0"],
+            ["client", "detect", "--port", "1", "--deadline", "-1"],
         ],
         ids=lambda argv: "-".join(a.strip("-") for a in argv if a != "FILE"),
     )
@@ -213,7 +216,8 @@ class TestBudgetValidation:
         import sys as _sys
 
         monkeypatch.setattr(_sys, "stdin", io.StringIO(""))
-        complaint = "must be a finite number" if argv[-1] == "nan" else "must be above 0"
+        finite = argv[-1] in ("nan", "inf")
+        complaint = "must be a finite number" if finite else "must be above 0"
         argv = [buggy_file if a == "FILE" else a for a in argv]
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
@@ -251,8 +255,6 @@ ENGINE_FLAGS = {
     "--cache-dir",
     "--budget-seconds",
     "--budget-nodes",
-    "--max-retries",
-    "--checkers",
 }
 
 
@@ -292,6 +294,35 @@ class TestCLISurface:
         assert excinfo.value.code == 2
         assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["detect", "FILE", "--max-retries", "1"],
+            ["fix", "FILE", "--max-retries", "1"],
+            ["stats", "FILE", "--max-retries", "1"],
+            ["fuzz", "--max-retries", "1"],
+            ["serve", "FILE", "--max-retries", "1"],
+            ["watch", "FILE", "--max-retries", "1"],
+            ["detect", "FILE", "--checkers", "double-lock"],
+            ["serve", "FILE", "--checkers", "double-lock"],
+            ["watch", "FILE", "--checkers", "double-lock"],
+            ["detect", "FILE", "--fault-seed", "1"],
+            ["fix", "FILE", "--fault-seed", "1"],
+            ["stats", "FILE", "--fault-seed", "1"],
+            ["fleet", "sweep", "FILE", "--fault-seed", "1"],
+            ["fleet", "fuzz", "--count", "2", "--fault-seed", "1"],
+        ],
+        ids=lambda argv: "-".join(a.strip("-") for a in argv if a != "FILE"),
+    )
+    def test_deleted_detect_settings_are_rejected(self, argv, buggy_file, capsys):
+        """A transient failure is retried once everywhere, every detect
+        runs the five Table 1 checkers, and fault plans take no seed."""
+        argv = [buggy_file if a == "FILE" else a for a in argv]
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
+
     def test_detect_serve_and_watch_share_the_engine_flags(self, tmp_path):
         from repro.cli import _engine_config
 
@@ -305,8 +336,7 @@ class TestCLISurface:
         assert ENGINE_FLAGS <= options["detect"]
         flags = [
             "--cache-dir", str(tmp_path), "--budget-seconds", "5",
-            "--budget-nodes", "100", "--max-retries", "2",
-            "--checkers", "double-lock",
+            "--budget-nodes", "100",
         ]
         for name in ("detect", "serve", "watch"):
             config = _engine_config(parser.parse_args([name, "x.go", *flags]))
@@ -314,9 +344,8 @@ class TestCLISurface:
                 str(config.cache.path),
                 config.budget_wall_seconds,
                 config.budget_solver_nodes,
-                config.max_retries,
-                config.checkers,
-            ) == (str(tmp_path), 5.0, 100, 2, ["double-lock"]), name
+                config.disentangle,
+            ) == (str(tmp_path), 5.0, 100, True), name
 
 
 class TestDiffcheckCommand:
@@ -683,6 +712,28 @@ class TestUnloadableInput:
         assert detail in err
         assert err.count("\n") == 1
 
+    #: Go rejects both; analysing either declaration alone would report a
+    #: bug (the second f's leak, the second S's forgotten unlock)
+    DUPLICATES = {
+        "func": ("package main\n\nfunc f() {\n\tprintln(1)\n}\n\nfunc f() {\n"
+                 "\tch := make(chan int)\n\tgo func() {\n\t\tch <- 1\n\t}()\n}\n\n"
+                 "func main() {\n\tf()\n}\n",
+                 "func f redeclared at {path}:7 (previous declaration at {path}:3)"),
+        "struct": ('package main\n\nimport "sync"\n\ntype S struct {\n\tn int\n}\n\n'
+                   "type S struct {\n\tmu sync.Mutex\n}\n\nfunc (s *S) g() {\n"
+                   "\ts.mu.Lock()\n}\n\nfunc main() {\n\ts := &S{}\n\ts.g()\n}\n",
+                   "type S redeclared at {path}:9 (previous declaration at {path}:5)"),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(DUPLICATES))
+    def test_a_declaration_repeated_in_one_file_exits_2(self, tmp_path, kind):
+        source, message = self.DUPLICATES[kind]
+        path = tmp_path / "dup.go"
+        path.write_text(source)
+        proc = TestExitCodeRegression._run(["detect", str(path)])
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"repro: {path}: {message.format(path=path)}\n"
+
     @pytest.mark.parametrize("command", ["sweep", "plan"])
     def test_fleet_says_a_missing_corpus_is_missing(self, tmp_path, command, capsys):
         path = str(tmp_path / "no-such-dir")
@@ -771,9 +822,16 @@ class TestTelemetryCommands:
         assert payload["latency"]["p50"] == 0.05
 
     def test_top_without_journal_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv("REPRO_JOURNAL", raising=False)
+        from repro.obs import TelemetryJournal, request_record
+
+        # the journal comes from --journal alone: REPRO_JOURNAL is not read
+        ambient = str(tmp_path / "ambient.jsonl")
+        TelemetryJournal(ambient).append(request_record(
+            trace_id="t", method="detect", outcome="ok", elapsed_seconds=0.01,
+        ))
+        monkeypatch.setenv("REPRO_JOURNAL", ambient)
         assert main(["top"]) == 2
-        assert "no journal" in capsys.readouterr().err
+        assert "no journal (pass --journal PATH)" in capsys.readouterr().err
         missing = str(tmp_path / "nope.jsonl")
         assert main(["top", "--journal", missing]) == 2
         assert "does not exist" in capsys.readouterr().err

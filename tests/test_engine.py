@@ -15,8 +15,8 @@ from repro.detector.gcatch import run_gcatch
 from repro.engine import (
     EngineConfig,
     ResultCache,
+    DetectionEngine,
     TRADITIONAL_CHECKERS,
-    run_engine,
 )
 from repro.obs import Collector
 from repro.report.table import TIMEOUT_MARKER, render_bug_costs
@@ -112,7 +112,7 @@ class TestSharding:
 class TestBudgets:
     def test_wall_budget_times_out_gracefully(self):
         program = build(TWO_BUGS)
-        result = run_gcatch(program, budget_wall_seconds=1e-9)
+        result = run_gcatch(program, EngineConfig(budget_wall_seconds=1e-9))
         timeouts = result.timed_out_shards()
         assert timeouts and all(s.kind == "bmoc" for s in timeouts)
         assert result.has_timeouts()
@@ -123,14 +123,14 @@ class TestBudgets:
     def test_node_budget_times_out_and_counts(self):
         program = build(TWO_BUGS)
         collector = Collector("budget")
-        result = run_gcatch(program, budget_solver_nodes=1, collector=collector)
+        result = run_gcatch(program, EngineConfig(budget_solver_nodes=1), collector=collector)
         assert result.timed_out_shards()
         assert collector.counters.get("engine.timeout", 0) >= 1
 
     def test_generous_budget_changes_nothing(self):
         program = build(TWO_BUGS)
         serial = run_gcatch(program)
-        budgeted = run_gcatch(program, budget_wall_seconds=60.0)
+        budgeted = run_gcatch(program, EngineConfig(budget_wall_seconds=60.0))
         assert report_keys(budgeted) == report_keys(serial)
         assert not budgeted.timed_out_shards()
 
@@ -150,8 +150,8 @@ class TestWarmCache:
         cache = ResultCache()
         cold = Collector("cold")
         warm = Collector("warm")
-        first = run_gcatch(program, cache=cache, collector=cold)
-        second = run_gcatch(program, cache=cache, collector=warm)
+        first = run_gcatch(program, EngineConfig(cache=cache), collector=cold)
+        second = run_gcatch(program, EngineConfig(cache=cache), collector=warm)
         cold_calls = cold.counters["solver.calls"]
         warm_calls = warm.counters.get("solver.calls", 0)
         assert cold_calls > 0
@@ -163,14 +163,14 @@ class TestWarmCache:
     def test_cached_stats_preserve_effort_accounting(self):
         program = build(TWO_BUGS)
         cache = ResultCache()
-        first = run_gcatch(program, cache=cache)
-        second = run_gcatch(program, cache=cache)
+        first = run_gcatch(program, EngineConfig(cache=cache))
+        second = run_gcatch(program, EngineConfig(cache=cache))
         assert second.bmoc.stats.solver_calls == first.bmoc.stats.solver_calls
         assert all(s.outcome == "cached" for s in second.shards)
 
     def test_disk_cache_layout_and_cross_instance_reload(self, tmp_path):
         program = build(TWO_BUGS)
-        first = run_gcatch(program, cache=ResultCache(str(tmp_path)))
+        first = run_gcatch(program, EngineConfig(cache=ResultCache(str(tmp_path))))
         entries = list(tmp_path.glob("objects/*/*.pkl"))
         assert len(entries) == len(first.shards)
         # every entry sits under objects/<first two hex chars>/<sha256>.pkl
@@ -180,31 +180,31 @@ class TestWarmCache:
         # a brand-new cache instance (fresh process, conceptually) hits disk
         fresh = ResultCache(str(tmp_path))
         warm = Collector("disk-warm")
-        second = run_gcatch(program, cache=fresh, collector=warm)
+        second = run_gcatch(program, EngineConfig(cache=fresh), collector=warm)
         assert warm.counters["cache.hit"] == len(first.shards)
         assert report_keys(second) == report_keys(first)
 
     def test_corrupt_disk_entry_is_a_miss_not_an_error(self, tmp_path):
         program = build(TWO_BUGS)
-        run_gcatch(program, cache=ResultCache(str(tmp_path)))
+        run_gcatch(program, EngineConfig(cache=ResultCache(str(tmp_path))))
         for entry in tmp_path.glob("objects/*/*.pkl"):
             entry.write_bytes(b"not a pickle")
         fresh = ResultCache(str(tmp_path))
-        result = run_gcatch(program, cache=fresh)
+        result = run_gcatch(program, EngineConfig(cache=fresh))
         assert report_keys(result) == report_keys(run_gcatch(program))
 
     def test_timed_out_shards_are_not_cached(self):
         program = build(TWO_BUGS)
         cache = ResultCache()
-        run_gcatch(program, cache=cache, budget_wall_seconds=1e-9)
-        retry = run_gcatch(program, cache=cache)
+        run_gcatch(program, EngineConfig(cache=cache, budget_wall_seconds=1e-9))
+        retry = run_gcatch(program, EngineConfig(cache=cache))
         assert report_keys(retry) == report_keys(run_gcatch(program))
 
 
 class TestTimeoutSurfacing:
     def test_render_bug_costs_marks_timeouts(self):
         program = build(TWO_BUGS)
-        result = run_gcatch(program, budget_wall_seconds=1e-9)
+        result = run_gcatch(program, EngineConfig(budget_wall_seconds=1e-9))
         table = render_bug_costs(
             result.all_reports(), timeouts=result.timed_out_shards()
         )
@@ -250,7 +250,7 @@ class TestTimeoutSurfacing:
 class TestEngineDirect:
     def test_run_engine_with_config(self):
         program = build(TWO_BUGS)
-        result = run_engine(program, config=EngineConfig())
+        result = DetectionEngine(program, config=EngineConfig()).run()
         assert report_keys(result) == report_keys(run_gcatch(program))
 
     def test_engine_handles_program_without_channels(self):

@@ -22,7 +22,7 @@ import weakref
 
 from repro.constraints import encoding
 from repro.detector.gcatch import run_gcatch
-from repro.engine import ResultCache
+from repro.engine import EngineConfig, ResultCache
 from repro.engine.fingerprint import ProgramDigests, function_digest
 from repro.obs import Collector
 from tests.conftest import build
@@ -69,7 +69,7 @@ def bmoc_shards(result):
 
 
 def run(source, cache, collector=None):
-    return run_gcatch(build(source), cache=cache, collector=collector)
+    return run_gcatch(build(source), EngineConfig(cache=cache), collector=collector)
 
 
 class TestScopedInvalidation:
@@ -148,11 +148,11 @@ class TestOptionSensitivity:
     def test_analysis_options_key_the_cache(self):
         # disentangle on/off analyzes different scopes; entries must not collide
         cache = ResultCache()
-        with_dis = run_gcatch(build(BASE), cache=cache, disentangle=True)
-        without = run_gcatch(build(BASE), cache=cache, disentangle=False)
+        with_dis = run_gcatch(build(BASE), EngineConfig(cache=cache, disentangle=True))
+        without = run_gcatch(build(BASE), EngineConfig(cache=cache, disentangle=False))
         assert all(s.outcome != "cached" for s in bmoc_shards(without))
         assert sorted(r.identity() for r in without.all_reports()) == sorted(
-            r.identity() for r in run_gcatch(build(BASE), disentangle=False).all_reports()
+            r.identity() for r in run_gcatch(build(BASE), EngineConfig(disentangle=False)).all_reports()
         )
         assert with_dis is not without
 

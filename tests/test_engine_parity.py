@@ -15,7 +15,7 @@ import pytest
 
 from repro.corpus.bugset import build_bug_set
 from repro.detector.gcatch import run_gcatch
-from repro.engine import ResultCache
+from repro.engine import EngineConfig, ResultCache
 from repro.ssa.builder import build_program
 from tests.conftest import reference_reports
 
@@ -34,8 +34,8 @@ def keys_of(reports):
     )
 
 
-def detect_keys(program, **kwargs):
-    return keys_of(run_gcatch(program, **kwargs).all_reports())
+def detect_keys(program, config=None):
+    return keys_of(run_gcatch(program, config).all_reports())
 
 
 @pytest.mark.parametrize("case", BUG_SET, ids=[c.case_id for c in BUG_SET])
@@ -52,8 +52,8 @@ def test_warm_cache_matches_serial(case):
     program = build_program(case.source, case.case_id)
     cache = ResultCache()
     serial = keys_of(reference_reports(program))
-    cold = detect_keys(program, cache=cache)
-    warm = detect_keys(program, cache=cache)
+    cold = detect_keys(program, EngineConfig(cache=cache))
+    warm = detect_keys(program, EngineConfig(cache=cache))
     assert cold == serial
     assert warm == serial
 
@@ -61,14 +61,13 @@ def test_warm_cache_matches_serial(case):
 def test_engine_span_tree_is_one_rooted_tree():
     """A detect yields one rooted span tree, with trace and parent lineage
     intact through the merge of every shard's own collector."""
-    from repro.engine import run_engine
     from repro.obs import Collector, new_trace_id
 
     case = max(BUG_SET, key=lambda c: len(c.source))
     program = build_program(case.source, case.case_id)
     trace = new_trace_id()
     collector = Collector("engine", trace_id=trace)
-    result = run_engine(program, collector=collector)
+    result = run_gcatch(program, collector=collector)
     assert len(collector.spans) == 1, "expected one rooted tree"
     root = collector.spans[0]
     for span in root.walk():

@@ -184,24 +184,26 @@ class TestCrashIsolation:
         assert not triage.classification
 
     @pytest.mark.parametrize(
-        "retries,code,bucket,incidents",
-        [(0, 4, BUCKET_PARSE_CRASH, 1), (1, 0, BUCKET_AGREE, 0)],
-        ids=["no-retry", "one-retry"],
+        "times,code,bucket,incidents",
+        [(1, 0, BUCKET_AGREE, 0), (2, 4, BUCKET_PARSE_CRASH, 1)],
+        ids=["fault-once", "fault-twice"],
     )
-    def test_max_retries_bounds_the_program_firewall(
-        self, capsys, monkeypatch, retries, code, bucket, incidents
+    def test_program_firewall_retries_once(
+        self, capsys, monkeypatch, times, code, bucket, incidents
     ):
-        """One transient crash in a program's build: with zero retries it
-        is final (one incident, no retry), with one retry the program
-        recovers and triages as if nothing happened."""
-        monkeypatch.setenv("REPRO_FAULTS", "fuzz-program:raise-transient:times=1")
-        assert main(["fuzz", "--seed", "0", "--count", "1",
-                     "--max-retries", str(retries), "--json"]) == code
+        """A transient crash in a program's build is retried once: a fault
+        that fires once is absorbed and the program triages as if nothing
+        happened; one that fires twice fails the retry too and is final
+        (one incident, no third attempt)."""
+        monkeypatch.setenv("REPRO_FAULTS", f"fuzz-program:raise-transient:times={times}")
+        assert main(["fuzz", "--seed", "0", "--count", "1", "--json"]) == code
         payload = json.loads(capsys.readouterr().out)
         [triage] = payload["triages"]
         assert triage["bucket"] == bucket
         assert len(triage.get("incidents", [])) == incidents
-        assert payload["stats"]["counters"].get("resilience.retry", 0) == retries
+        counters = payload["stats"]["counters"]
+        assert counters["resilience.retry"] == 1
+        assert counters.get("resilience.gave-up", 0) == incidents
 
     def test_campaign_counts_buckets_in_trace(self):
         collector = Collector("fuzz-test")

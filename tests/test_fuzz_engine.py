@@ -21,9 +21,9 @@ import pytest
 
 from repro.corpus import templates
 from repro.detector.gcatch import run_gcatch
-from repro.engine import ResultCache
+from repro.engine import EngineConfig, ResultCache
 from repro.golang.parser import parse_file
-from repro.golang.printer import print_file
+from tests.ast_printer import print_file
 from repro.ssa.builder import build_program
 from tests.conftest import reference_reports
 
@@ -93,8 +93,8 @@ def test_cached_detection_is_crash_free(seed):
     cache = ResultCache()
     try:
         program = build_program(source, f"fuzz{seed}.go")
-        cold = run_gcatch(program, cache=cache)
-        warm = run_gcatch(program, cache=cache)
+        cold = run_gcatch(program, EngineConfig(cache=cache))
+        warm = run_gcatch(program, EngineConfig(cache=cache))
     except Exception:
         print(describe(seed, source))
         raise

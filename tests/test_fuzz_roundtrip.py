@@ -1,9 +1,8 @@
-"""Satellite property: parse→print→parse round-trip over the fuzz surface.
+"""Property: parse→print→parse round-trips over the fuzz surface.
 
-Locks in ``golang.parser``/``golang.printer`` as fuzz infrastructure: the
-campaign minimizer and the regression-corpus workflow both re-render and
-re-parse generated sources, so printing must be a fixpoint over every
-template instance and over the full mutated/composed generator output.
+Printing a parse (with the test-side ``tests/ast_printer.py``) and
+parsing it again must be a fixpoint over every template instance and
+over the full mutated/composed generator output.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from repro.fuzz.generator import (
     generate_program,
 )
 from repro.golang.parser import parse_file
-from repro.golang.printer import print_file
+from tests.ast_printer import print_file
 
 ROUND_TRIP_SEED = 0
 ROUND_TRIP_COUNT = 200

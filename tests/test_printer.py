@@ -6,7 +6,7 @@ from repro.corpus.apps import build_corpus
 from repro.corpus.snippets import ALL_SNIPPETS
 from repro.golang import ast_nodes as ast
 from repro.golang.parser import parse_file
-from repro.golang.printer import print_file
+from tests.ast_printer import print_file
 from repro.ssa.builder import build_program
 
 

@@ -1,6 +1,6 @@
-"""Unit tests for repro.resilience: fault plans, the firewall, incidents,
-health classification, cache quarantine, checker selection, validation
-downgrades and the CLI exit-code policy."""
+"""Unit tests for repro.resilience: fault plans, the firewall and its
+one retry at every site, incidents, health classification, cache
+quarantine, validation downgrades and the CLI exit-code policy."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import pytest
 
 from repro.cli import EXIT_INCIDENT, main
 from repro.detector.gcatch import run_gcatch
+from repro.engine import EngineConfig
 from repro.obs import Collector
 from repro.resilience import (
     CORRUPT,
@@ -22,7 +23,6 @@ from repro.resilience import (
     HEALTH_FAILED,
     HEALTH_OK,
     Incident,
-    RetryPolicy,
     injected,
     is_transient,
     make_incident,
@@ -77,12 +77,6 @@ class TestFaultPlanParsing:
         plan = FaultPlan.parse("solve:raise; cache-read:corrupt")
         assert [r.site for r in plan.rules] == ["solve", "cache-read"]
 
-    def test_render_round_trips(self):
-        spec = "solve@alpha:raise:times=1;encode:stall:ms=5"
-        assert FaultPlan.parse(FaultPlan.parse(spec).render()).render() == (
-            FaultPlan.parse(spec).render()
-        )
-
     def test_unknown_site_names_valid_set(self):
         with pytest.raises(ValueError, match="valid sites"):
             FaultPlan.parse("warp:raise")
@@ -94,6 +88,17 @@ class TestFaultPlanParsing:
     def test_unknown_option_rejected(self):
         with pytest.raises(ValueError, match="unknown fault option"):
             FaultPlan.parse("solve:raise:q=1")
+
+    @pytest.mark.parametrize("spec", ["solve:raise:p=0.5", "encode:raise:ms=25"])
+    def test_deleted_options_are_rejected(self, spec):
+        with pytest.raises(ValueError, match=r"unknown fault option .* \(n/times\)$"):
+            FaultPlan.parse(spec)
+
+    def test_stall_mode_is_rejected(self):
+        with pytest.raises(
+            ValueError, match="valid modes: raise, raise-transient, corrupt$"
+        ):
+            FaultPlan.parse("encode:stall")
 
     def test_empty_spec_rejected(self):
         with pytest.raises(ValueError, match="no rules"):
@@ -153,14 +158,6 @@ class TestFaultPlanFiring:
         plan = FaultPlan.parse("cache-read:corrupt")
         assert plan.fire("cache-read", "k") == CORRUPT
 
-    def test_probability_is_seed_deterministic(self):
-        a = [FaultPlan.parse("solve:corrupt:p=0.5", seed=7).fire("solve", str(i))
-             for i in range(32)]
-        b = [FaultPlan.parse("solve:corrupt:p=0.5", seed=7).fire("solve", str(i))
-             for i in range(32)]
-        assert a == b
-        assert any(x == CORRUPT for x in a) and any(x is None for x in a)
-
     def test_maybe_fault_noop_without_plan(self):
         assert maybe_fault("solve", "anything") is False
 
@@ -193,7 +190,7 @@ class TestFirewall:
 
     def test_transient_crash_retries_then_succeeds(self):
         collector = Collector()
-        fw = Firewall(collector=collector, policy=RetryPolicy(max_retries=2))
+        fw = Firewall(collector=collector)
         calls = []
 
         def flaky():
@@ -210,19 +207,19 @@ class TestFirewall:
 
     def test_retries_exhausted_counts_gave_up(self):
         collector = Collector()
-        fw = Firewall(collector=collector, policy=RetryPolicy(max_retries=2))
+        fw = Firewall(collector=collector)
 
         def always(): raise EOFError("truncated")
 
         guarded = fw.call(always, site="cache-read")
         assert not guarded.ok
-        assert guarded.incident.attempts == 3
+        assert guarded.incident.attempts == 2
         assert guarded.incident.transient
-        assert collector.counters["resilience.retry"] == 2
+        assert collector.counters["resilience.retry"] == 1
         assert collector.counters["resilience.gave-up"] == 1
 
     def test_nontransient_never_retried(self):
-        fw = Firewall(policy=RetryPolicy(max_retries=5))
+        fw = Firewall()
         calls = []
 
         def boom():
@@ -298,7 +295,7 @@ class TestCacheQuarantine:
 
         cache = ResultCache(str(tmp_path / "cache"))
         program = build(LEAK_TWO)
-        run_gcatch(program, cache=cache)
+        run_gcatch(program, EngineConfig(cache=cache))
         return cache, program
 
     def test_corrupt_entry_quarantined_on_read(self, tmp_path):
@@ -307,7 +304,7 @@ class TestCacheQuarantine:
         assert paths
         paths[0].write_bytes(b"not a pickle at all")
         fresh_cache = type(cache)(str(tmp_path / "cache"))
-        result = run_gcatch(program, cache=fresh_cache)
+        result = run_gcatch(program, EngineConfig(cache=fresh_cache))
         # the corrupted entry was quarantined (deleted), the shard
         # re-analyzed, and the fresh result stored back at the same key
         assert fresh_cache.corrupt == 1
@@ -320,7 +317,7 @@ class TestCacheQuarantine:
         paths = sorted((tmp_path / "cache").rglob("*.pkl"))
         paths[0].write_bytes(pickle.dumps({"not": "a CachedShard"}))
         fresh_cache = type(cache)(str(tmp_path / "cache"))
-        result = run_gcatch(program, cache=fresh_cache)
+        result = run_gcatch(program, EngineConfig(cache=fresh_cache))
         assert fresh_cache.corrupt == 1
         assert result.health() == HEALTH_OK
 
@@ -330,7 +327,7 @@ class TestCacheQuarantine:
         collector = Collector()
         with injected("cache-read:raise"):
             result = run_gcatch(
-                program, cache=fresh_cache, collector=collector
+                program, EngineConfig(cache=fresh_cache), collector=collector
             )
         # every probe failed => every shard re-ran: zero lost reports,
         # though each failed probe is recorded as a cache-read incident
@@ -347,51 +344,10 @@ class TestCacheQuarantine:
         cache = ResultCache(str(tmp_path / "cache"))
         program = build(LEAK_TWO)
         with injected("cache-write:raise"):
-            result = run_gcatch(program, cache=cache)
+            result = run_gcatch(program, EngineConfig(cache=cache))
         assert len(result.bmoc.reports) == 2
         assert result.health() == HEALTH_DEGRADED
         assert all(i.site == "cache-write" for i in result.incidents)
-
-
-# -- checker selection (satellite b) -----------------------------------------
-
-
-class TestCheckerSelection:
-    def test_unknown_checker_is_incident_not_abort_serial(self):
-        # an unknown name beside a valid one: only the unknown shard fails
-        program = build(LEAK_TWO)
-        result = run_gcatch(program, checkers=["double-lock", "warp-detector"])
-        assert result.health() == HEALTH_DEGRADED
-        assert len(result.incidents) == 1
-        incident = result.incidents[0]
-        assert incident.label == "warp-detector"
-        assert "valid checkers" in incident.message
-        assert "double-lock" in incident.message
-        assert [(s.label, s.outcome) for s in result.failed_shards()] == [
-            ("warp-detector", "failed")
-        ]
-        # the BMOC side is untouched
-        assert len(result.bmoc.reports) == 2
-
-    def test_unknown_checker_is_incident_not_abort_engine(self):
-        # the unknown name alone: its shard is the only traditional one
-        program = build(LEAK_TWO)
-        result = run_gcatch(program, checkers=["warp-detector"])
-        assert result.health() == HEALTH_DEGRADED
-        assert [s.outcome for s in result.failed_shards()] == ["failed"]
-        assert "valid checkers" in result.incidents[0].message
-        assert len(result.bmoc.reports) == 2
-
-    def test_env_checker_selection(self, monkeypatch):
-        program = build(LEAK_TWO)
-        monkeypatch.setenv("REPRO_CHECKERS", "double-lock,forget-unlock")
-        result = run_gcatch(program)
-        assert result.health() == HEALTH_OK
-        assert len(result.shards) == 2 + 2  # two channels + two checkers
-        assert [s.label for s in result.shards if s.kind == "traditional"] == [
-            "double-lock",
-            "forget-unlock",
-        ]
 
 
 # -- serial firewall behaviour -----------------------------------------------
@@ -433,22 +389,91 @@ class TestSerialResilience:
             with pytest.raises(FaultInjected):
                 build_program("package main\nfunc main() {}\n", "x.go")
 
-    def test_max_retries_env(self, monkeypatch):
-        from repro.engine import resolve_max_retries
-
-        monkeypatch.setenv("REPRO_MAX_RETRIES", "3")
-        assert resolve_max_retries() == 3
-        assert resolve_max_retries(0) == 0
-
     def test_transient_solve_fault_retried_to_success(self):
         program = build(LEAK_TWO)
         collector = Collector()
         with injected("solve@alpha:raise-transient:times=1"):
-            result = run_gcatch(program, collector=collector, max_retries=1)
+            result = run_gcatch(program, collector=collector)
         # one transient crash, one retry, full report set
         assert result.health() == HEALTH_OK
         assert len(result.bmoc.reports) == 2
         assert collector.counters["resilience.retry"] == 1
+
+
+# -- one retry at every firewall ---------------------------------------------
+
+
+class TestOneRetryEverywhere:
+    """Every firewall retries a transient failure exactly once: a fault
+    that fires once is absorbed by the retry, and a fault that fires
+    twice fails the retry too and becomes one incident of two attempts."""
+
+    @pytest.fixture
+    def incidents_at(self, tmp_path, figure1_source):
+        from repro.api import Project
+        from repro.engine import ResultCache
+        from repro.fixer.validate import validate_patch
+        from repro.fuzz import generate_program, triage_program
+        from repro.service import AnalysisService
+
+        def solve(spec):
+            with injected(spec):
+                return run_gcatch(build(LEAK_TWO)).incidents
+
+        def cache_read(spec):
+            program = build(LEAK_TWO)
+            run_gcatch(program, EngineConfig(cache=ResultCache(str(tmp_path / "cache"))))
+            cold = ResultCache(str(tmp_path / "cache"))
+            with injected(spec):
+                return run_gcatch(program, EngineConfig(cache=cold)).incidents
+
+        def fuzz_program(spec):
+            with injected(spec):
+                return triage_program(generate_program(0, 0)).incidents
+
+        def service_request(spec):
+            path = tmp_path / "leaky.go"
+            path.write_text("package main\n" + LEAK_TWO)
+            service = AnalysisService(str(path), workers=1).start()
+            try:
+                with injected(spec):
+                    service.call("detect")
+                return service.firewall.incidents
+            finally:
+                service.stop()
+
+        def fix_apply(spec):
+            project = Project.from_source(figure1_source, "figure1.go")
+            [bug] = project.detect().bmoc.bmoc_channel_bugs()
+            with injected(spec):
+                return project.fix(bug).incidents
+
+        def validate(spec):
+            project = Project.from_source(figure1_source, "figure1.go")
+            [bug] = project.detect().bmoc.bmoc_channel_bugs()
+            fix = project.fix(bug)
+            with injected(spec):
+                incident = validate_patch(figure1_source, fix, entry="main").incident
+            return [incident] if incident else []
+
+        return {
+            "solve": solve,
+            "cache-read": cache_read,
+            "fuzz-program": fuzz_program,
+            "service-request": service_request,
+            "fix-apply": fix_apply,
+            "validate": validate,
+        }
+
+    @pytest.mark.parametrize(
+        "site",
+        ["solve", "cache-read", "fuzz-program", "service-request", "fix-apply", "validate"],
+    )
+    def test_a_transient_fault_is_retried_exactly_once(self, incidents_at, site):
+        drive = incidents_at[site]
+        assert drive(f"{site}:raise-transient:times=1") == []
+        [incident] = drive(f"{site}:raise-transient:times=2")
+        assert (incident.site, incident.attempts, incident.transient) == (site, 2, True)
 
 
 LEAK_FOUR = """
@@ -509,7 +534,7 @@ class TestIncidentLedger:
         ])
         cache = ResultCache(str(tmp_path / "cache"))
         with injected(faults):
-            result = run_gcatch(program, cache=cache)
+            result = run_gcatch(program, EngineConfig(cache=cache))
         assert [(i.site, i.label) for i in result.incidents] == [
             ("cache-read", bravo.label),
             ("cache-write", alpha.label),
@@ -764,7 +789,7 @@ class TestBudgetTimeoutDegradation:
 
     def test_midbatch_budget_timeout_keeps_siblings(self):
         program = build(MIXED_COST)
-        result = run_gcatch(program, budget_solver_nodes=4)
+        result = run_gcatch(program, EngineConfig(budget_solver_nodes=4))
         timeouts = result.timed_out_shards()
         assert len(timeouts) == 1 and "bravo" in timeouts[0].label
         labels = {r.primitive.site.label for r in result.bmoc.reports}
@@ -778,7 +803,7 @@ class TestBudgetTimeoutDegradation:
         report still ships under ``degraded`` health."""
         program = build(MIXED_COST)
         with injected("solve@gamma:raise"):
-            result = run_gcatch(program, budget_solver_nodes=4)
+            result = run_gcatch(program, EngineConfig(budget_solver_nodes=4))
         assert result.health() == HEALTH_DEGRADED
         assert any("bravo" in s.label for s in result.timed_out_shards())
         assert any("gamma" in s.label for s in result.failed_shards())

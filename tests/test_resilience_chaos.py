@@ -12,7 +12,7 @@ import pytest
 
 from repro.cli import EXIT_INCIDENT, main
 from repro.detector.gcatch import run_gcatch
-from repro.engine import ResultCache
+from repro.engine import EngineConfig, ResultCache
 from repro.resilience import HEALTH_DEGRADED, HEALTH_OK, injected
 from tests.conftest import build
 
@@ -104,10 +104,10 @@ class TestCacheFaultParity:
 
     def test_corrupt_read_recovers_fully(self, program, baseline, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"))
-        run_gcatch(program, cache=cache)  # warm
+        run_gcatch(program, EngineConfig(cache=cache))  # warm
         fresh = ResultCache(str(tmp_path / "cache"))
         with injected("cache-read:corrupt"):
-            result = run_gcatch(program, cache=fresh)
+            result = run_gcatch(program, EngineConfig(cache=fresh))
         assert _renders(result) == _renders(baseline)
         assert result.health() == HEALTH_OK
         assert fresh.corrupt >= 1  # quarantined, then re-analyzed
@@ -115,7 +115,7 @@ class TestCacheFaultParity:
     def test_write_failure_keeps_all_reports(self, program, baseline, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"))
         with injected("cache-write:raise"):
-            result = run_gcatch(program, cache=cache)
+            result = run_gcatch(program, EngineConfig(cache=cache))
         assert _renders(result) == _renders(baseline)
         assert result.health() == HEALTH_DEGRADED
         assert all(i.site == "cache-write" for i in result.incidents)
@@ -125,11 +125,11 @@ class TestCacheFaultParity:
     ):
         cache = ResultCache(str(tmp_path / "cache"))
         with injected("cache-write:corrupt"):
-            run_gcatch(program, cache=cache)
+            run_gcatch(program, EngineConfig(cache=cache))
         # the corrupt-mode write left garbage entries on disk; the next
         # (fault-free) run quarantines them and re-analyzes cleanly
         fresh = ResultCache(str(tmp_path / "cache"))
-        result = run_gcatch(program, cache=fresh)
+        result = run_gcatch(program, EngineConfig(cache=fresh))
         assert _renders(result) == _renders(baseline)
         assert result.health() == HEALTH_OK
         assert fresh.corrupt >= 1
@@ -138,15 +138,18 @@ class TestCacheFaultParity:
 class TestTransientRecovery:
     def test_transient_fault_retried_to_full_result(self, program, baseline):
         with injected("solve@alpha:raise-transient:times=1"):
-            result = run_gcatch(program, max_retries=1)
+            result = run_gcatch(program)
         assert result.health() == HEALTH_OK
         assert _renders(result) == _renders(baseline)
 
-    def test_transient_fault_with_retries_disabled_degrades(self, program):
-        with injected("solve@alpha:raise-transient"):
-            result = run_gcatch(program, max_retries=0)
+    def test_fault_outlasting_the_retry_degrades(self, program):
+        # the fault fires on the first attempt and on the one retry
+        with injected("solve@alpha:raise-transient:times=2"):
+            result = run_gcatch(program)
         assert result.health() == HEALTH_DEGRADED
         assert len(result.bmoc.reports) == 1
+        [incident] = result.incidents
+        assert (incident.site, incident.attempts) == ("solve", 2)
 
 
 class TestStrictFlip:

@@ -404,6 +404,23 @@ class TestCrashIsolation:
         open(buggy_file, "w").write(BUGGY)
         assert ok(service.call("detect"))["refresh"].get("failed") is None
 
+    def test_an_edit_that_repeats_a_declaration_keeps_the_last_good_generation(
+        self, service, buggy_file
+    ):
+        baseline = ok(service.call("detect"))
+        open(buggy_file, "w").write(BUGGY + "\nfunc main() {\n}\n")
+        result = ok(service.call("detect"))
+        assert result["refresh"]["failed"] is True
+        incident = result["refresh"]["incident"]
+        assert incident["exception"] == "BuildError"
+        assert incident["message"] == (
+            f"func main redeclared at {buggy_file}:10 "
+            f"(previous declaration at {buggy_file}:3)"
+        )
+        assert result["generation"] == baseline["generation"]
+        assert result["reports"] == baseline["reports"]
+        assert ok(service.call("health"))["health"] == "degraded"
+
 
 class TestExitCodePolicy:
     """``exit_code_for`` is the one-shot CLI policy, by construction and
